@@ -8,8 +8,21 @@ Solves the continuous relaxation of a :class:`~dmpc.milp.MilpProblem`:
 The implementation is a two-phase primal simplex over the extended system
 ``[A | I]`` with one logical column per row (slack for LE rows, fixed at
 zero for EQ rows) and one implicit artificial column per row for the
-phase-1 start. The basis inverse is maintained as a sparse LU
-factorization plus a product-form eta file, refactorized periodically.
+phase-1 start.
+
+The basis inverse is a sparse LU factorization of a recent basis ``B0``
+plus a product-form eta file, refactorized after at most ``ETA_MAX``
+pivots: after k pivots ``B = B0 E_1 ... E_k`` with
+``E_i = I + g_i e_{p_i}^T``, where ``p_i`` is the pivot row, ``w_i`` the
+FTRAN'd entering column and ``g_i = w_i - e_{p_i}``. The etas are stacked
+in arrays rather than applied one by one: the rows of ``G`` are the
+``g_i``, ``P`` holds the pivot rows, and the lower-triangular ``L``
+(``L_ii = w_i[p_i]``, ``L_ij = g_j[p_i]`` for ``j < i``) couples them. ``L``
+is stored packed row by row, so appending an eta costs O(k). Applying all
+k etas is one triangular solve and one matrix-vector product:
+
+    FTRAN   v = B0^-1 a;   t = L^-1 v[P];          v -= G^T t
+    BTRAN   t = L^-T (G c); c[P] -= t (repeats add); y = B0^-T c
 
 Pricing is Dantzig (most negative reduced cost) with Bland's rule as an
 anti-cycling fallback after a run of degenerate pivots. A dual simplex
@@ -29,6 +42,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse.linalg import splu
 
 from .milp import MilpProblem, Relation
@@ -48,6 +62,9 @@ _AT_LOWER = 0
 _AT_UPPER = 1
 _FREE = 2
 _BASIC = 3
+
+# packed triangular solve for the eta file's L (see the module docstring)
+_tpsv = get_blas_funcs("tpsv", dtype=np.float64)
 
 
 class LpStatus(Enum):
@@ -120,6 +137,10 @@ class SimplexEngine:
         self.A_csc.eliminate_zeros()
         self.A_csr = self.A_csc.tocsr()
         self.AT_csr = self.A_csc.T.tocsr()
+        # [A | I]: basis matrices are column slices of it
+        self.AI_csc = sp.hstack(
+            [self.A_csc, sp.identity(problem.n_rows, format="csc")], format="csc"
+        )
         self.b = np.asarray(problem.b, dtype=float).copy()
         self.obj_const = float(problem.obj_const)
         n, m = self.n, self.m
@@ -147,7 +168,11 @@ class SimplexEngine:
         self.vstat = np.empty(self.nt, dtype=np.int8)
         self.x = np.zeros(self.nt)
         self._lu = None
-        self._etas: list = []
+        # eta file: G rows g_i, pivot rows P, L packed by rows; k etas in use
+        self._G = np.empty((ETA_MAX, m))
+        self._P = np.empty(ETA_MAX, dtype=np.int64)
+        self._L = np.empty(ETA_MAX * (ETA_MAX + 1) // 2)
+        self._k = 0
         self._have_basis = False
         self._fresh = False
         self._iters = 0
@@ -179,41 +204,43 @@ class SimplexEngine:
         if m == 0:
             self._fresh = True
             return
-        rows, cols, data = [], [], []
-        n = self.n
-        indptr, indices, vals = self.A_csc.indptr, self.A_csc.indices, self.A_csc.data
-        for i, j in enumerate(self.basis):
-            if j < n:
-                lo, hi = indptr[j], indptr[j + 1]
-                rows.extend(indices[lo:hi].tolist())
-                cols.extend([i] * (hi - lo))
-                data.extend(vals[lo:hi].tolist())
-            elif j < n + m:
-                rows.append(j - n)
-                cols.append(i)
-                data.append(1.0)
-            else:
-                rows.append(j - n - m)
-                cols.append(i)
-                data.append(self.art_sign[j - n - m])
-        B = sp.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsc()
+        n, basis = self.n, self.basis
+        art = basis >= n + m
+        B = self.AI_csc[:, np.where(art, basis - m, basis)]
+        if np.any(art):
+            scale = np.ones(m)
+            scale[art] = self.art_sign[basis[art] - n - m]
+            B.data *= np.repeat(scale, np.diff(B.indptr))
         self._lu = splu(B, permc_spec="COLAMD")
-        self._etas = []
+        self._k = 0
         self._fresh = True
+
+    def _push_eta(self, r: int, w: np.ndarray):
+        """Record the pivot on row ``r`` with FTRAN'd entering column ``w``."""
+        k = self._k
+        self._G[k] = w
+        self._G[k, r] -= 1.0
+        self._P[k] = r
+        o = k * (k + 1) // 2
+        self._L[o : o + k] = self._G[:k, r]
+        self._L[o + k] = w[r]
+        self._k = k + 1
 
     def _ftran(self, rhs: np.ndarray) -> np.ndarray:
         v = self._lu.solve(rhs)
-        for p, w in self._etas:
-            t = v[p] / w[p]
-            v -= t * w
-            v[p] = t
+        k = self._k
+        if k:
+            t = _tpsv(k, self._L, v[self._P[:k]], trans=1, overwrite_x=1)
+            v -= self._G[:k].T @ t
         return v
 
     def _btran(self, rhs: np.ndarray) -> np.ndarray:
-        v = rhs.copy()
-        for p, w in reversed(self._etas):
-            v[p] = (v[p] - (w @ v - w[p] * v[p])) / w[p]
-        return self._lu.solve(v, trans="T")
+        k = self._k
+        if k:
+            t = _tpsv(k, self._L, self._G[:k] @ rhs, trans=0, overwrite_x=1)
+            rhs = rhs.copy()
+            np.subtract.at(rhs, self._P[:k], t)  # a row may pivot repeatedly
+        return self._lu.solve(rhs, trans="T")
 
     def _recompute_basics(self):
         """x_B = B^-1 (b - N x_N) from scratch."""
@@ -351,7 +378,7 @@ class SimplexEngine:
         while True:
             if self._iters >= MAX_ITER:
                 return LpStatus.ITERATION_LIMIT
-            if len(self._etas) >= ETA_MAX or not self._fresh:
+            if self._k >= ETA_MAX or not self._fresh:
                 self._refactor()
                 self._recompute_basics()
             if phase_one and float(self.x[n + m :].sum()) <= stop_tol:
@@ -474,7 +501,7 @@ class SimplexEngine:
             self.vstat[leave] = _AT_UPPER if self.ub[leave] < math.inf else _FREE
         self.basis[r] = q
         self.vstat[q] = _BASIC
-        self._etas.append((r, w.copy()))
+        self._push_eta(r, w)
         if abs(w[r]) < 1e-5 * max(1.0, float(np.max(np.abs(w)))):
             self._fresh = False  # marginal pivot: refactor before trusting it
         self._iters += 1
@@ -482,14 +509,25 @@ class SimplexEngine:
 
     # ----------------------------------------------------------- dual path
 
+    def _refresh(self):
+        """Refactor, recompute x_B and return exact reduced costs.
+
+        None when the basis has gone singular: the warm solve then falls
+        back to a cold one instead of raising.
+        """
+        try:
+            self._refactor()
+        except RuntimeError:
+            return None
+        self._recompute_basics()
+        return self._reduced_costs(self.c2)
+
     def _dual_solve(self):
         """Warm re-solve after bound edits; None means fall back to cold."""
         n, m = self.n, self.m
-        if not self._fresh:
-            try:
-                self._refactor()
-            except RuntimeError:
-                return None
+        d = self._reduced_costs(self.c2) if self._fresh else self._refresh()
+        if d is None:
+            return None
         # re-snap nonbasics onto their (possibly moved) bounds
         at_lo = self.vstat == _AT_LOWER
         at_hi = self.vstat == _AT_UPPER
@@ -500,7 +538,6 @@ class SimplexEngine:
         self.x[at_lo] = self.lb[at_lo]
         self.x[at_hi] = self.ub[at_hi]
 
-        d = self._reduced_costs(self.c2)
         # bound changes keep reduced costs intact, but a variable fixed in
         # one subtree and released in another can sit on the wrong bound
         # for its reduced cost; flipping it restores dual feasibility
@@ -528,10 +565,10 @@ class SimplexEngine:
         while True:
             if self._iters >= budget:
                 return None
-            if len(self._etas) >= ETA_MAX or not self._fresh:
-                self._refactor()
-                self._recompute_basics()
-                d = self._reduced_costs(self.c2)
+            if self._k >= ETA_MAX or not self._fresh:
+                d = self._refresh()
+                if d is None:
+                    return None
                 d_exact = True
 
             xB = self.x[self.basis]
@@ -579,10 +616,10 @@ class SimplexEngine:
                 )
             if not np.any(elig):
                 # only certify infeasibility from exact data
-                if self._etas or not d_exact:
-                    self._refactor()
-                    self._recompute_basics()
-                    d = self._reduced_costs(self.c2)
+                if self._k or not d_exact:
+                    d = self._refresh()
+                    if d is None:
+                        return None
                     d_exact = True
                     continue
                 return LpResult(LpStatus.INFEASIBLE, None, None, self._iters)
@@ -605,11 +642,11 @@ class SimplexEngine:
             piv = float(w[r])
             if abs(piv) < PIVOT_TOL or piv * alpha[q] <= 0.0:
                 # BTRAN row and FTRAN column disagree: etas went stale
-                if not self._etas and d_exact:
+                if not self._k and d_exact:
                     return None  # inconsistent even when fresh; go cold
-                self._refactor()
-                self._recompute_basics()
-                d = self._reduced_costs(self.c2)
+                d = self._refresh()
+                if d is None:
+                    return None
                 d_exact = True
                 continue
 
@@ -625,7 +662,7 @@ class SimplexEngine:
             self.vstat[leave] = _AT_LOWER if leaving_low else _AT_UPPER
             self.basis[r] = q
             self.vstat[q] = _BASIC
-            self._etas.append((r, w.copy()))
+            self._push_eta(r, w)
             if abs(piv) < 1e-5 * max(1.0, float(np.max(np.abs(w)))):
                 self._fresh = False
             self._iters += 1

@@ -8,6 +8,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from dmpc.bnb import SolveOptions, SolveStatus, relaxation_bound, solve
 from dmpc.milp import Relation
+from dmpc.simplex import LpStatus, SimplexEngine
+from dmpc.thermostat import OFF, build_thermostat_mpc
 
 from conftest import make_milp
 
@@ -114,3 +116,23 @@ def test_random_milps_match_scipy(seed):
     elif ref.status == 0:
         assert mine.status is SolveStatus.OPTIMAL
         assert mine.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("variant", ["hull", "bigm"])
+def test_node_lps_certify_optimality(monkeypatch, variant):
+    # every OPTIMAL node LP's dual certificate closes on its primal value
+    results = []
+    real_solve = SimplexEngine.solve
+
+    def recording_solve(self, *args, **kwargs):
+        res = real_solve(self, *args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(SimplexEngine, "solve", recording_solve)
+    prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 5, variant=variant)
+    solve(prob, SolveOptions(node_limit=40))
+    optimal = [r for r in results if r.status is LpStatus.OPTIMAL]
+    assert len(optimal) >= 10
+    for r in optimal:
+        assert abs(r.objective - r.dual_objective) <= 1e-8 * max(1.0, abs(r.objective))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import dmpc.simplex
 from dmpc.milp import MilpProblem, Relation
 from dmpc.simplex import (
     Basis,
@@ -14,6 +15,7 @@ from dmpc.simplex import (
     check_point,
     solve_lp,
 )
+from dmpc.thermostat import OFF, build_thermostat_mpc
 
 
 def make_lp(c, A, relations, b, lb, ub):
@@ -168,3 +170,68 @@ def test_random_lps_match_scipy(seed):
         assert mine.status is LpStatus.OPTIMAL
         assert mine.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
         assert check_point(lp, mine.point) <= 1e-7
+        gap = abs(mine.objective - mine.dual_objective)
+        assert gap <= 1e-8 * max(1.0, abs(mine.objective))
+
+
+def thermostat_n3():
+    return build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 3, variant="hull")
+
+
+def test_eta_file_matches_dense_basis_solves():
+    prob = thermostat_n3()
+    eng = SimplexEngine(prob)
+    assert eng.solve(warm=False).status is LpStatus.OPTIMAL
+    # pin binaries one at a time; etas pile up across the warm re-solves
+    # until a refactorization (which empties the file) or 20 are stacked
+    for col in np.flatnonzero(prob.is_int):
+        for val in (0.0, 1.0):
+            if eng._k >= 20:
+                break
+            lb, ub = prob.lb.copy(), prob.ub.copy()
+            lb[col] = ub[col] = val
+            eng.solve(lb=lb, ub=ub)
+    k = eng._k
+    assert k >= 20
+    rows = eng._P[:k]
+    assert np.unique(rows).size < k  # some row was pivoted on twice
+
+    B = np.column_stack([eng._column(int(j)) for j in eng.basis])
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        v = rng.standard_normal(eng.m)
+        for got, want in ((eng._ftran(v), np.linalg.solve(B, v)),
+                          (eng._btran(v), np.linalg.solve(B.T, v))):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    eng._refactor()
+    assert eng._k == 0
+    v = rng.standard_normal(eng.m)
+    np.testing.assert_allclose(eng._ftran(v), np.linalg.solve(B, v), rtol=1e-9, atol=1e-9)
+
+
+def test_singular_refactor_in_dual_loop_falls_back_cold(monkeypatch):
+    prob = thermostat_n3()
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    col = np.flatnonzero(prob.is_int)[3]
+    lb[col] = ub[col] = 0.0
+    cold = SimplexEngine(prob).solve(lb=lb, ub=ub, warm=False)
+
+    eng = SimplexEngine(prob)
+    assert eng.solve(warm=False).status is LpStatus.OPTIMAL
+    real_splu = dmpc.simplex.splu
+    calls = []
+
+    def flaky_splu(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(*args, **kwargs)
+
+    # a short eta file forces refactorizations inside the dual loop
+    monkeypatch.setattr(dmpc.simplex, "ETA_MAX", 2)
+    monkeypatch.setattr(dmpc.simplex, "splu", flaky_splu)
+    warm = eng.solve(lb=lb, ub=ub)
+    assert len(calls) >= 3  # the second call raised; the cold solve ran after it
+    assert warm.status is LpStatus.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
