@@ -10,7 +10,9 @@ Four subcommands:
 
 Every flag of ``simulate`` and every study field of ``gapstudy`` can also
 be supplied through ``--config FILE``, a plain ``key = value`` text file
-(``#`` starts a comment). Explicit flags win over config values.
+(``#`` starts a comment). Explicit flags win over config values. A
+``gapstudy`` config key that names no ``GapStudyConfig`` field is an
+error.
 
 Exit codes: 0 on success, 1 on a runtime failure or failed selftest,
 2 on bad flags (argparse convention).
@@ -19,6 +21,7 @@ Exit codes: 0 on success, 1 on a runtime failure or failed selftest,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -107,22 +110,37 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _study_config(config: dict, seed) -> GapStudyConfig:
+    """GapStudyConfig from config entries, each cast by its default's type.
+
+    ``seed`` (the --seed flag) wins over a config entry when given.
+    """
+    fields = {f.name: f.default for f in dataclasses.fields(GapStudyConfig)
+              if f.default is not dataclasses.MISSING}
+    unknown = sorted(set(config) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown gapstudy setting(s): {', '.join(unknown)}; "
+                         f"pick from {', '.join(fields)}")
+    values = {}
+    for name, raw in config.items():
+        default = fields[name]
+        try:
+            if isinstance(default, tuple):
+                cast = type(default[0])
+                values[name] = tuple(cast(tok) for tok in raw.split(",")
+                                     if tok.strip())
+            else:
+                values[name] = type(default)(raw)
+        except ValueError as exc:
+            raise ValueError(f"gapstudy setting {name}: {exc}") from None
+    if seed is not None:
+        values["seed"] = seed
+    return GapStudyConfig(**values)
+
+
 def _cmd_gapstudy(args: argparse.Namespace) -> int:
     config = _read_config(args.config) if args.config else {}
-    horizons = config.get("horizons")
-    if horizons is not None:
-        horizons = tuple(int(tok) for tok in horizons.split(",") if tok.strip())
-    cfg = GapStudyConfig(
-        instance_count=int(config.get("instance_count", 50)),
-        horizons=horizons if horizons is not None else (30, 60),
-        node_limit=int(config.get("node_limit", 30)),
-        seed=_merge(args, config, "seed", int, 0),
-        x0_low=float(config.get("x0_low", 19.0)),
-        x0_high=float(config.get("x0_high", 23.0)),
-        s0=int(config.get("s0", OFF)),
-        bigm=float(config.get("bigm", 1e4)),
-        optimality_node_cap=int(config.get("optimality_node_cap", 400)),
-    )
+    cfg = _study_config(config, args.seed)
     report = run_gap_study(cfg)
     if args.out:
         write_report(report, args.out)

@@ -12,6 +12,10 @@ readers treat the format as whitespace-delimited anyway.
 Row names are R0000001... in emission order, columns C0000001... in
 column order; an objective constant is stored negated as the RHS of the
 objective row, per the usual convention.
+
+The reader is more lenient than the writer: it also takes G rows,
+RANGES, free (N) rows beyond the objective, which it drops, and the
+MI/PL/FR/FX/LI/UI bound types; see :func:`read_mps`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import io
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from .milp import MilpProblem, Relation
 
@@ -64,21 +69,26 @@ def export_mps(problem: MilpProblem, destination) -> None:
         w(f" {_ROW_TYPE[Relation(int(problem.relations[i]))]}  {_row_name(i)}\n")
 
     w("COLUMNS\n")
+    # CSC lists each column's nonzero rows in ascending order
+    cols = sp.csc_matrix(problem.A)
+    cols.sort_indices()
+    indptr, rows, vals = cols.indptr, cols.indices.tolist(), cols.data.tolist()
     in_int = False
     marker = 0
-    for j in range(n):
-        if bool(problem.is_int[j]) != in_int:
+    for j, (cj, int_j) in enumerate(zip(problem.c.tolist(),
+                                        problem.is_int.tolist())):
+        if int_j != in_int:
             tag = "'INTORG'" if not in_int else "'INTEND'"
             w(_line("", f"MARK{marker:04d}", "'MARKER'", "", tag) + "\n")
             in_int = not in_int
             marker += 1
         name = _col_name(j)
         wrote = False
-        if problem.c[j] != 0.0:
-            w(_line("", name, "OBJ", _fmt(problem.c[j])) + "\n")
+        if cj != 0.0:
+            w(_line("", name, "OBJ", _fmt(cj)) + "\n")
             wrote = True
-        for i in np.flatnonzero(problem.A[:, j]):
-            w(_line("", name, _row_name(int(i)), _fmt(problem.A[int(i), j])) + "\n")
+        for k in range(indptr[j], indptr[j + 1]):
+            w(_line("", name, _row_name(rows[k]), _fmt(vals[k])) + "\n")
             wrote = True
         if not wrote:
             # declare otherwise-empty columns so no reader drops them
@@ -128,9 +138,15 @@ def read_mps(source) -> MilpProblem:
 
     Tokenizing is whitespace-based, so both fixed and free layouts load.
     Supports N/L/G/E rows, INTORG/INTEND markers, RHS (including an
-    objective-row constant), RANGES on L/G/E rows and the usual BOUNDS
-    keys. G rows are negated into <= form; ranged rows contribute an
-    extra mirrored row appended after the base rows.
+    objective-row constant), RANGES on L/G/E rows and the BOUNDS keys
+    UP/LO/FX/MI/PL/FR/BV/UI/LI. The first N row is the objective; any
+    further N (free) row is dropped together with its coefficients and
+    RHS entries. G rows are negated into <= form; ranged rows contribute
+    an extra mirrored row appended after the base rows. A (column, row)
+    pair given more than once is summed in file order.
+
+    Coefficients are collected as (row, column, value) triplets and
+    scattered once into the dense ``A``.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
@@ -140,23 +156,28 @@ def read_mps(source) -> MilpProblem:
 
     section = None
     obj_row = None
-    row_order: list = []          # names, ROWS order, objective excluded
-    row_type: dict = {}
-    col_order: list = []
-    col_entries: dict = {}        # name -> {row name: value}
-    obj_coef: dict = {}
-    col_int: dict = {}
+    free_rows: set = set()        # N rows after the first; their entries drop
+    row_names: list = []          # ROWS order, objective excluded
+    row_index: dict = {}          # name -> position in row_names
+    row_type: list = []
+    col_index: dict = {}          # name -> column, in order of first mention
+    col_int: list = []
+    tri_i: list = []              # COLUMNS coefficients as (row, col, value)
+    tri_j: list = []              # triplets in file order
+    tri_v: list = []
+    obj_coef: dict = {}           # column -> objective coefficient
     rhs: dict = {}
     obj_const = 0.0
     ranges: dict = {}
-    bounds: dict = {}             # name -> [lo, hi]
+    bounds: dict = {}             # column -> [lo, hi]
     in_int = False
 
     def touch_col(name):
-        if name not in col_entries:
-            col_order.append(name)
-            col_entries[name] = {}
-            col_int[name] = in_int
+        j = col_index.get(name)
+        if j is None:
+            j = col_index[name] = len(col_int)
+            col_int.append(in_int)
+        return j
 
     for raw in lines:
         if not raw.strip() or raw.lstrip().startswith("*"):
@@ -176,9 +197,14 @@ def read_mps(source) -> MilpProblem:
             if t == "N":
                 if obj_row is None:
                     obj_row = name
+                else:
+                    free_rows.add(name)
             elif t in ("L", "G", "E"):
-                row_order.append(name)
-                row_type[name] = t
+                if name in row_index:
+                    raise ValueError(f"duplicate row {name!r}")
+                row_index[name] = len(row_names)
+                row_names.append(name)
+                row_type.append(t)
             else:
                 raise ValueError(f"unknown row type {t!r}")
         elif section == "COLUMNS":
@@ -188,34 +214,33 @@ def read_mps(source) -> MilpProblem:
                 elif "'INTEND'" in tok:
                     in_int = False
                 continue
-            name = tok[0]
-            touch_col(name)
+            j = touch_col(tok[0])
             for k in range(1, len(tok) - 1, 2):
                 row, val = tok[k], float(tok[k + 1])
                 if row == obj_row:
-                    obj_coef[name] = obj_coef.get(name, 0.0) + val
-                elif row in row_type:
-                    d = col_entries[name]
-                    d[row] = d.get(row, 0.0) + val
-                else:
+                    obj_coef[j] = obj_coef.get(j, 0.0) + val
+                elif row in row_index:
+                    tri_i.append(row_index[row])
+                    tri_j.append(j)
+                    tri_v.append(val)
+                elif row not in free_rows:
                     raise ValueError(f"coefficient for unknown row {row!r}")
         elif section == "RHS":
             for k in range(1, len(tok) - 1, 2):
                 row, val = tok[k], float(tok[k + 1])
                 if row == obj_row:
                     obj_const = -val
-                elif row in row_type:
+                elif row in row_index:
                     rhs[row] = val
-                else:
+                elif row not in free_rows:
                     raise ValueError(f"rhs for unknown row {row!r}")
         elif section == "RANGES":
             for k in range(1, len(tok) - 1, 2):
                 ranges[tok[k]] = float(tok[k + 1])
         elif section == "BOUNDS":
             btype = tok[0].upper()
-            name = tok[2]
-            touch_col(name)
-            lo_hi = bounds.setdefault(name, [0.0, math.inf])
+            j = touch_col(tok[2])
+            lo_hi = bounds.setdefault(j, [0.0, math.inf])
             if btype in ("UP", "UI"):
                 lo_hi[1] = float(tok[3])
             elif btype in ("LO", "LI"):
@@ -226,83 +251,77 @@ def read_mps(source) -> MilpProblem:
                 lo_hi[0] = -math.inf
             elif btype == "PL":
                 lo_hi[1] = math.inf
+            elif btype == "FR":
+                lo_hi[0], lo_hi[1] = -math.inf, math.inf
             elif btype == "BV":
                 lo_hi[0], lo_hi[1] = 0.0, 1.0
-                col_int[name] = True
             else:
                 raise ValueError(f"unknown bound type {btype!r}")
-            if btype in ("UI", "LI"):
-                col_int[name] = True
+            if btype in ("BV", "UI", "LI"):
+                col_int[j] = True
 
     if obj_row is None:
         raise ValueError("no objective (N) row found")
 
-    n = len(col_order)
-    col_index = {name: j for j, name in enumerate(col_order)}
-
-    rows: list = []
+    # Row senses and right-hand sides, one base row per ROWS entry. A G
+    # row is stored negated (sign -1); a ranged row gets a mirror row,
+    # the negated base row, appended after all base rows.
+    m0 = len(row_names)
+    sign = np.ones(m0)
     rels: list = []
     bvec: list = []
-    row_labels: list = []
-
-    def dense(name):
-        row = np.zeros(n)
-        for cname in col_order:
-            v = col_entries[cname].get(name)
-            if v is not None:
-                row[col_index[cname]] = v
-        return row
-
-    extras: list = []
-    for name in row_order:
-        t = row_type[name]
-        row = dense(name)
-        b = rhs.get(name, 0.0)
-        r = ranges.get(name)
-        if t == "L":
-            rows.append(row), rels.append(Relation.LE), bvec.append(b)
-            row_labels.append(name)
-            if r is not None:
-                extras.append((-row, Relation.LE, -(b - abs(r)), name + "#r"))
-        elif t == "G":
-            rows.append(-row), rels.append(Relation.LE), bvec.append(-b)
-            row_labels.append(name)
-            if r is not None:
-                extras.append((row, Relation.LE, b + abs(r), name + "#r"))
+    mirrored: list = []
+    mirror_rhs: list = []
+    for i, name in enumerate(row_names):
+        t, b, r = row_type[i], rhs.get(name, 0.0), ranges.get(name)
+        rels.append(Relation.EQ if t == "E" and r is None else Relation.LE)
+        if t == "G":
+            sign[i] = -1.0
+            bvec.append(-b)
+            mirror_b = None if r is None else b + abs(r)
+        elif t == "L" or r is None:
+            bvec.append(b)
+            mirror_b = None if r is None else -(b - abs(r))
         else:
-            if r is None:
-                rows.append(row), rels.append(Relation.EQ), bvec.append(b)
-                row_labels.append(name)
-            else:
-                lo, hi = (b, b + r) if r >= 0 else (b + r, b)
-                rows.append(row), rels.append(Relation.LE), bvec.append(hi)
-                row_labels.append(name)
-                extras.append((-row, Relation.LE, -lo, name + "#r"))
-    for row, rel, b, name in extras:
-        rows.append(row), rels.append(rel), bvec.append(b)
-        row_labels.append(name)
+            lo, hi = (b, b + r) if r >= 0 else (b + r, b)
+            bvec.append(hi)
+            mirror_b = -lo
+        if mirror_b is not None:
+            mirrored.append(i)
+            mirror_rhs.append(mirror_b)
 
-    lb = np.zeros(n)
-    ub = np.full(n, math.inf)
-    is_int = np.zeros(n, dtype=bool)
+    # One scatter of the triplets; duplicates add up in file order.
+    ti = np.array(tri_i, dtype=np.intp)
+    tj = np.array(tri_j, dtype=np.intp)
+    tv = np.array(tri_v, dtype=float) * sign[ti]
+    mirror_of = np.full(m0, -1, dtype=np.intp)
+    mirror_of[mirrored] = np.arange(m0, m0 + len(mirrored))
+    has = mirror_of[ti] >= 0
+    n = len(col_int)
+    A = np.zeros((m0 + len(mirrored), n))
+    np.add.at(A.reshape(-1),  # flat indices take numpy's fast path
+              np.concatenate([ti, mirror_of[ti[has]]]) * n
+              + np.concatenate([tj, tj[has]]),
+              np.concatenate([tv, -tv[has]]))
+
     c = np.zeros(n)
-    for name, j in col_index.items():
-        c[j] = obj_coef.get(name, 0.0)
-        is_int[j] = col_int.get(name, False)
-        if name in bounds:
-            lb[j], ub[j] = bounds[name]
-        elif is_int[j]:
-            lb[j], ub[j] = 0.0, 1.0
+    for j, v in obj_coef.items():
+        c[j] = v
+    is_int = np.array(col_int, dtype=bool)
+    lb = np.zeros(n)
+    ub = np.where(is_int, 1.0, math.inf)
+    for j, (lo, hi) in bounds.items():
+        lb[j], ub[j] = lo, hi
 
     return MilpProblem(
         c=c,
         obj_const=obj_const,
-        A=(np.array(rows).reshape(len(rows), n) if rows else np.zeros((0, n))),
-        relations=np.array([int(r) for r in rels], dtype=np.int8),
-        b=np.array(bvec, dtype=float),
+        A=A,
+        relations=np.array(rels + [Relation.LE] * len(mirrored), dtype=np.int8),
+        b=np.array(bvec + mirror_rhs, dtype=float),
         lb=lb,
         ub=ub,
         is_int=is_int,
-        labels=list(col_order),
-        row_labels=row_labels,
+        labels=list(col_index),
+        row_labels=row_names + [row_names[i] + "#r" for i in mirrored],
     )

@@ -108,35 +108,25 @@ def _require_valid(model: GdpModel):
         raise ValueError("invalid model: " + "; ".join(problems))
 
 
-def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProblem:
-    """Big-M reformulation of a valid GDP model.
+def _lower(model: GdpModel, labels: list, ind_map: dict, lb, ub,
+           local_rows) -> MilpProblem:
+    """Scaffolding shared by both reformulations.
 
-    Column order: the continuous variables in model order, then one binary
-    per disjunct (disjunction-major). Local GE rows are negated, local EQ
-    rows become a relaxed pair, and each resulting <=-row gains an
-    ``+ M s`` term so it is inert while its indicator is 0.
+    Emits the global rows, then per disjunction the rows yielded by
+    ``local_rows(d, disjunction)`` followed by its exactly-one row, then
+    the CNF rows. Rows are collected as (row, column, value) triplets and
+    scattered once into the dense ``A``.
     """
-    _require_valid(model)
-    strategy = strategy or BigMStrategy.from_bounds()
-    n = model.n_vars
-    lb0, ub0 = model.bounds()
-
-    ind_map, s_labels = {}, []
-    col = n
-    for d, dis in enumerate(model.disjunctions):
-        for i in range(len(dis.disjuncts)):
-            ind_map[IndicatorRef(d, i)] = col
-            s_labels.append(f"s[{d},{i}]")
-            col += 1
-    n_tot = col
-
-    rows, rels, rhs, row_labels = [], [], [], []
+    n_tot = len(labels)
+    tri_i, tri_j, tri_v = [], [], []
+    rels, rhs, row_labels = [], [], []
 
     def emit(coeffs: dict, relation, rhs_val, label):
-        row = np.zeros(n_tot)
+        i = len(rels)
         for j, c in coeffs.items():
-            row[j] += c
-        rows.append(row)
+            tri_i.append(i)
+            tri_j.append(j)
+            tri_v.append(c)
         rels.append(relation)
         rhs.append(float(rhs_val))
         row_labels.append(label)
@@ -151,6 +141,67 @@ def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProble
             emit(coeffs, rel, -con.expr.constant, f"g[{k}]")
 
     for d, dis in enumerate(model.disjunctions):
+        for row in local_rows(d, dis):
+            emit(*row)
+        emit({ind_map[IndicatorRef(d, i)]: 1.0
+              for i in range(len(dis.disjuncts))},
+             Relation.EQ, 1.0, f"xor[{d}]")
+
+    for k, (coeffs, b) in enumerate(
+        cnf_to_linear(model.propositions, ind_map)
+    ):
+        emit(coeffs, Relation.LE, b, f"cnf[{k}]")
+
+    n = model.n_vars
+    c_vec = np.zeros(n_tot)
+    c_vec[:n] = model.objective.to_dense(n)
+    for d, dis in enumerate(model.disjunctions):
+        for i, dj in enumerate(dis.disjuncts):
+            c_vec[ind_map[IndicatorRef(d, i)]] += dj.fixed_cost
+
+    is_int = np.zeros(n_tot, dtype=bool)
+    is_int[list(ind_map.values())] = True
+
+    # each (row, column) pair occurs once, so every entry is 0.0 + value
+    A = np.zeros((len(rels), n_tot))
+    A[tri_i, tri_j] += tri_v
+
+    return MilpProblem(
+        c=c_vec,
+        obj_const=model.objective.constant,
+        A=A,
+        relations=np.array(rels, dtype=np.int8),
+        b=np.array(rhs, dtype=float),
+        lb=lb,
+        ub=ub,
+        is_int=is_int,
+        labels=labels,
+        row_labels=row_labels,
+    )
+
+
+def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProblem:
+    """Big-M reformulation of a valid GDP model.
+
+    Column order: the continuous variables in model order, then one binary
+    per disjunct (disjunction-major). Local GE rows are negated, local EQ
+    rows become a relaxed pair, and each resulting <=-row gains an
+    ``+ M s`` term so it is inert while its indicator is 0.
+    """
+    _require_valid(model)
+    strategy = strategy or BigMStrategy.from_bounds()
+    n = model.n_vars
+    lb0, ub0 = model.bounds()
+
+    ind_map = {}
+    labels = [v.name for v in model.variables]
+    for d, dis in enumerate(model.disjunctions):
+        for i in range(len(dis.disjuncts)):
+            ind_map[IndicatorRef(d, i)] = len(labels)
+            labels.append(f"s[{d},{i}]")
+    n_s = len(labels) - n
+
+    def local_rows(d, dis):
         for i, dj in enumerate(dis.disjuncts):
             s_col = ind_map[IndicatorRef(d, i)]
             for k, con in enumerate(dj.local_constraints):
@@ -171,40 +222,12 @@ def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProble
                     # a.y + k <= M (1 - s)  ->  a.y + M s <= M - k
                     coeffs = {v.index: c for v, c in expr.terms}
                     coeffs[s_col] = coeffs.get(s_col, 0.0) + M
-                    emit(coeffs, Relation.LE, M - expr.constant,
-                         f"bigm[{d},{i},{k}.{h}]")
-        emit({ind_map[IndicatorRef(d, i)]: 1.0
-              for i in range(len(dis.disjuncts))},
-             Relation.EQ, 1.0, f"xor[{d}]")
+                    yield (coeffs, Relation.LE, M - expr.constant,
+                           f"bigm[{d},{i},{k}.{h}]")
 
-    for k, (coeffs, b) in enumerate(
-        cnf_to_linear(model.propositions, ind_map)
-    ):
-        emit(coeffs, Relation.LE, b, f"cnf[{k}]")
-
-    c_vec = np.zeros(n_tot)
-    c_vec[:n] = model.objective.to_dense(n)
-    for d, dis in enumerate(model.disjunctions):
-        for i, dj in enumerate(dis.disjuncts):
-            c_vec[ind_map[IndicatorRef(d, i)]] += dj.fixed_cost
-
-    lb = np.concatenate([lb0, np.zeros(n_tot - n)])
-    ub = np.concatenate([ub0, np.ones(n_tot - n)])
-    is_int = np.zeros(n_tot, dtype=bool)
-    is_int[n:] = True
-
-    return MilpProblem(
-        c=c_vec,
-        obj_const=model.objective.constant,
-        A=np.array(rows).reshape(len(rows), n_tot),
-        relations=np.array(rels, dtype=np.int8),
-        b=np.array(rhs, dtype=float),
-        lb=lb,
-        ub=ub,
-        is_int=is_int,
-        labels=[v.name for v in model.variables] + s_labels,
-        row_labels=row_labels,
-    )
+    return _lower(model, labels, ind_map,
+                  np.concatenate([lb0, np.zeros(n_s)]),
+                  np.concatenate([ub0, np.ones(n_s)]), local_rows)
 
 
 def to_hull(model: GdpModel) -> MilpProblem:
@@ -223,7 +246,7 @@ def to_hull(model: GdpModel) -> MilpProblem:
     ind_map: dict = {}
     copy_col: dict = {}  # (d, i, var) -> column
     labels = [v.name for v in model.variables]
-    col = n
+    lb, ub = list(lb0), list(ub0)
     scopes = []
     for d, dis in enumerate(model.disjunctions):
         scope = sorted(
@@ -237,40 +260,18 @@ def to_hull(model: GdpModel) -> MilpProblem:
         )
         scopes.append(scope)
         for i in range(len(dis.disjuncts)):
-            ind_map[IndicatorRef(d, i)] = col
+            ind_map[IndicatorRef(d, i)] = len(labels)
             labels.append(f"s[{d},{i}]")
-            col += 1
+            lb.append(0.0)
+            ub.append(1.0)
         for i in range(len(dis.disjuncts)):
             for j in scope:
-                copy_col[(d, i, j)] = col
+                copy_col[(d, i, j)] = len(labels)
                 labels.append(f"{model.variables[j].name}@d{d}:{i}")
-                col += 1
-    n_tot = col
+                lb.append(min(lb0[j], 0.0))
+                ub.append(max(ub0[j], 0.0))
 
-    rows, rels, rhs, row_labels = [], [], [], []
-
-    def emit(coeffs: dict, relation, rhs_val, label):
-        row = np.zeros(n_tot)
-        for j, c in coeffs.items():
-            row[j] += c
-        rows.append(row)
-        rels.append(relation)
-        rhs.append(float(rhs_val))
-        row_labels.append(label)
-
-    for k, con in enumerate(model.global_constraints):
-        coeffs = {v.index: c for v, c in con.expr.terms}
-        if con.relation == Relation.GE:
-            emit({j: -c for j, c in coeffs.items()}, Relation.LE,
-                 con.expr.constant, f"g[{k}]")
-        else:
-            rel = Relation.LE if con.relation == Relation.LE else Relation.EQ
-            emit(coeffs, rel, -con.expr.constant, f"g[{k}]")
-
-    lb = np.concatenate([lb0, np.zeros(n_tot - n)])
-    ub = np.concatenate([ub0, np.ones(n_tot - n)])
-
-    for d, dis in enumerate(model.disjunctions):
+    def local_rows(d, dis):
         scope = scopes[d]
         L = len(dis.disjuncts)
         # aggregation y = sum of copies
@@ -278,7 +279,7 @@ def to_hull(model: GdpModel) -> MilpProblem:
             coeffs = {j: 1.0}
             for i in range(L):
                 coeffs[copy_col[(d, i, j)]] = -1.0
-            emit(coeffs, Relation.EQ, 0.0, f"agg[{d},{j}]")
+            yield coeffs, Relation.EQ, 0.0, f"agg[{d},{j}]"
         # perspective rows: affine gating by exact coefficient substitution
         for i, dj in enumerate(dis.disjuncts):
             s_col = ind_map[IndicatorRef(d, i)]
@@ -288,54 +289,25 @@ def to_hull(model: GdpModel) -> MilpProblem:
                 }
                 coeffs[s_col] = coeffs.get(s_col, 0.0) + con.expr.constant
                 if con.relation == Relation.LE:
-                    emit(coeffs, Relation.LE, 0.0, f"persp[{d},{i},{k}]")
+                    yield coeffs, Relation.LE, 0.0, f"persp[{d},{i},{k}]"
                 elif con.relation == Relation.GE:
-                    emit({j: -c for j, c in coeffs.items()}, Relation.LE,
-                         0.0, f"persp[{d},{i},{k}]")
+                    yield ({j: -c for j, c in coeffs.items()}, Relation.LE,
+                           0.0, f"persp[{d},{i},{k}]")
                 else:
-                    emit(coeffs, Relation.EQ, 0.0, f"persp[{d},{i},{k}]")
+                    yield coeffs, Relation.EQ, 0.0, f"persp[{d},{i},{k}]"
             # bound rows l s <= y_i <= u s; zero sides fold into the column
             for j in scope:
                 cc = copy_col[(d, i, j)]
                 lo, hi = lb0[j], ub0[j]
-                lb[cc] = min(lo, 0.0)
-                ub[cc] = max(hi, 0.0)
                 if lo != 0.0:
-                    emit({s_col: lo, cc: -1.0}, Relation.LE, 0.0,
-                         f"lbnd[{d},{i},{j}]")
+                    yield ({s_col: lo, cc: -1.0}, Relation.LE, 0.0,
+                           f"lbnd[{d},{i},{j}]")
                 if hi != 0.0:
-                    emit({cc: 1.0, s_col: -hi}, Relation.LE, 0.0,
-                         f"ubnd[{d},{i},{j}]")
-        emit({ind_map[IndicatorRef(d, i)]: 1.0 for i in range(L)},
-             Relation.EQ, 1.0, f"xor[{d}]")
+                    yield ({cc: 1.0, s_col: -hi}, Relation.LE, 0.0,
+                           f"ubnd[{d},{i},{j}]")
 
-    for k, (coeffs, b) in enumerate(
-        cnf_to_linear(model.propositions, ind_map)
-    ):
-        emit(coeffs, Relation.LE, b, f"cnf[{k}]")
-
-    c_vec = np.zeros(n_tot)
-    c_vec[:n] = model.objective.to_dense(n)
-    for d, dis in enumerate(model.disjunctions):
-        for i, dj in enumerate(dis.disjuncts):
-            c_vec[ind_map[IndicatorRef(d, i)]] += dj.fixed_cost
-
-    is_int = np.zeros(n_tot, dtype=bool)
-    for c in ind_map.values():
-        is_int[c] = True
-
-    return MilpProblem(
-        c=c_vec,
-        obj_const=model.objective.constant,
-        A=np.array(rows).reshape(len(rows), n_tot),
-        relations=np.array(rels, dtype=np.int8),
-        b=np.array(rhs, dtype=float),
-        lb=lb,
-        ub=ub,
-        is_int=is_int,
-        labels=labels,
-        row_labels=row_labels,
-    )
+    return _lower(model, labels, ind_map, np.array(lb, dtype=float),
+                  np.array(ub, dtype=float), local_rows)
 
 
 def indicator_columns(problem: MilpProblem) -> dict:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from dmpc.cli import _read_config, main
+from dmpc.cli import _read_config, _study_config, main
+from dmpc.gapstudy import GapStudyConfig
 
 
 def test_read_config_parses_and_normalizes(tmp_path):
@@ -100,3 +101,28 @@ def test_gapstudy_with_config(tmp_path):
     assert report["config"]["seed"] == 5
     assert report["config"]["instance_count"] == 1
     assert len(report["instances"]) == 1
+
+
+def test_gapstudy_config_casts_every_field():
+    cfg = _study_config({
+        "instance_count": "3", "horizons": "30, 60", "node_limit": "7",
+        "seed": "4", "x0_low": "20", "x0_high": "22.5", "s0": "1",
+        "bigm": "500", "optimality_node_cap": "90",
+    }, None)
+    assert cfg == GapStudyConfig(instance_count=3, horizons=(30, 60),
+                                 node_limit=7, seed=4, x0_low=20.0,
+                                 x0_high=22.5, s0=1, bigm=500.0,
+                                 optimality_node_cap=90)
+    assert type(cfg.x0_low) is float and type(cfg.node_limit) is int
+    assert _study_config({}, None) == GapStudyConfig()
+    assert _study_config({"seed": "4"}, 9).seed == 9
+
+
+def test_gapstudy_unknown_config_key_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("instance-count = 1\nnode_limt = 5\n")
+    rc = main(["gapstudy", "--config", str(cfg),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 1
+    assert "node_limt" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
