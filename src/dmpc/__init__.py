@@ -2,9 +2,9 @@
 
 Layered namespace re-exporting the stable surface of each module:
 modeling (:mod:`.gdp`), reformulation (:mod:`.reformulate`), LP/MILP
-solving (:mod:`.simplex`, :mod:`.bnb`), MPS I/O (:mod:`.mps`), PWA
-MPC construction (:mod:`.pwa`), the thermostat case study
-(:mod:`.thermostat`), and the closed-loop / study harness
+solving (:mod:`.simplex`, :mod:`.bnb`), MPS I/O (:mod:`.mps`), the
+thermostat case study and its MPC model (:mod:`.thermostat`), the
+PWA plant step (:mod:`.pwa`), and the closed-loop / study harness
 (:mod:`.simulate`, :mod:`.gapstudy`).
 """
 
@@ -32,14 +32,7 @@ from .gdp import (
 )
 from .milp import MilpProblem, Relation
 from .mps import export_mps, read_mps
-from .pwa import (
-    PwaRegime,
-    PwaSystem,
-    SwitchingSpec,
-    build_disjunctive_mpc,
-    mpc_layout,
-    simulate_pwa_step,
-)
+from .pwa import PwaRegime, PwaSystem, simulate_pwa_step
 from .reformulate import BigMStrategy, cnf_to_linear, to_bigm, to_hull
 from .simplex import LpResult, LpStatus, SimplexEngine, solve_lp
 from .simulate import (
@@ -89,21 +82,18 @@ __all__ = [
     "SolveOptions",
     "SolveResult",
     "SolveStatus",
-    "SwitchingSpec",
     "ThermostatParams",
     "VarRef",
     "Variable",
     "audit_rows",
     "audit_trace",
     "brute_force_solve",
-    "build_disjunctive_mpc",
     "build_thermostat_gdp",
     "build_thermostat_mpc",
     "cnf_to_linear",
     "default_building",
     "evaluate_assignment",
     "export_mps",
-    "mpc_layout",
     "read_mps",
     "read_trace_rows",
     "relaxation_bound",

@@ -43,16 +43,18 @@ class SolveStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
+REL_GAP_TOL = 1e-6  # stop once (incumbent - bound) / |incumbent| is this small
+INT_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
+
+
 @dataclass
 class SolveOptions:
-    rel_gap_tol: float = 1e-6
-    int_tol: float = 1e-6
+    """Search limits; the tolerances are the module constants above."""
+
     node_limit: int | None = None
     time_limit: float | None = None
 
     def __post_init__(self):
-        if self.rel_gap_tol < 0 or self.int_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be at least 1")
         if self.time_limit is not None and self.time_limit <= 0:
@@ -153,7 +155,7 @@ def solve(
         if incumbent is not None:
             if est >= z - 1e-9:
                 continue
-            if _gap_percent(z, est) <= 100.0 * opts.rel_gap_tol:
+            if _gap_percent(z, est) <= 100.0 * REL_GAP_TOL:
                 best_gap_bound = est
                 break
 
@@ -183,7 +185,7 @@ def solve(
         x = res.point
         dist = np.abs(x[int_cols] - np.round(x[int_cols])) if int_cols.size else np.empty(0)
         dmax = float(dist.max(initial=0.0))
-        if dmax <= opts.int_tol:
+        if dmax <= INT_TOL:
             cand_val, cand_pt = val, x
             branch_anyway = False
             if dmax > 0.0:
@@ -238,7 +240,7 @@ def solve(
     elif limit_hit or heap:
         bb = min(heap[0][0], z) if heap else z
         status = SolveStatus.FEASIBLE_LIMIT
-        if _gap_percent(z, bb) <= 100.0 * opts.rel_gap_tol:
+        if _gap_percent(z, bb) <= 100.0 * REL_GAP_TOL:
             status = SolveStatus.OPTIMAL
     else:
         bb = z

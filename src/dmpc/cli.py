@@ -11,8 +11,8 @@ Four subcommands:
 Every flag of ``simulate`` and every study field of ``gapstudy`` can also
 be supplied through ``--config FILE``, a plain ``key = value`` text file
 (``#`` starts a comment). Explicit flags win over config values. A
-``gapstudy`` config key that names no ``GapStudyConfig`` field is an
-error.
+config key that names no ``simulate`` flag, or no ``GapStudyConfig``
+field for ``gapstudy``, is an error.
 
 Exit codes: 0 on success, 1 on a runtime failure or failed selftest,
 2 on bad flags (argparse convention).
@@ -78,8 +78,16 @@ def _merge(args: argparse.Namespace, config: dict, name: str, cast,
     return default
 
 
+_SIMULATE_KEYS = ("mode", "periods", "N", "M", "variant", "bigm",
+                  "apply_sequence")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _read_config(args.config) if args.config else {}
+    unknown = sorted(set(config) - set(_SIMULATE_KEYS))
+    if unknown:
+        raise ValueError(f"unknown simulate setting(s): {', '.join(unknown)}; "
+                         f"pick from {', '.join(_SIMULATE_KEYS)}")
     mode = _merge(args, config, "mode", str, "rtc")
     if mode not in ("rtc", "dmpc"):
         raise ValueError(f"unknown mode {mode!r}; pick rtc or dmpc")

@@ -9,17 +9,11 @@ Instances where a node-limited run ends without an incumbent, or whose
 reference solve does not close, are flagged and dropped from the means
 (paired: an instance is either compared under both formulations or not
 at all).
-
-Instances are independent; SIM_THREADS caps how many run concurrently.
-Results are assembled by instance index, so the thread count never
-changes the report.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +22,7 @@ from .bnb import SolveOptions, SolveStatus, solve
 from .simplex import SimplexEngine
 from .thermostat import OFF, ThermostatParams, build_thermostat_mpc
 
-__all__ = ["GapStudyConfig", "run_gap_study", "write_report", "study_threads"]
+__all__ = ["GapStudyConfig", "run_gap_study", "write_report"]
 
 ALLOWED_HORIZONS = (30, 60, 120, 200)
 
@@ -51,6 +45,10 @@ class GapStudyConfig:
     def __post_init__(self):
         if self.instance_count < 1:
             raise ValueError("instance_count must be at least 1")
+        if not self.horizons:
+            raise ValueError("horizons must name at least one horizon")
+        if len(set(self.horizons)) != len(self.horizons):
+            raise ValueError(f"horizons {self.horizons} repeat an entry")
         for N in self.horizons:
             if N not in ALLOWED_HORIZONS:
                 raise ValueError(f"horizon {N} not in {ALLOWED_HORIZONS}")
@@ -58,14 +56,6 @@ class GapStudyConfig:
             raise ValueError("node limits must be at least 1")
         if self.x0_low > self.x0_high:
             raise ValueError("x0 sampling bounds out of order")
-
-
-def study_threads() -> int:
-    raw = os.environ.get("SIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _reference_bases(config: GapStudyConfig) -> dict:
@@ -185,21 +175,8 @@ def run_gap_study(config: GapStudyConfig | None = None) -> dict:
                for _ in range(cfg.instance_count)]
     bases = _reference_bases(cfg)
 
-    tasks = [(i, samples[i], N)
-             for N in cfg.horizons for i in range(cfg.instance_count)]
-    rows: list = [None] * len(tasks)
-    workers = study_threads()
-    if workers == 1:
-        for slot, (i, x0, N) in enumerate(tasks):
-            rows[slot] = _run_instance(i, x0, N, cfg, bases)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_instance, i, x0, N, cfg, bases): slot
-                for slot, (i, x0, N) in enumerate(tasks)
-            }
-            for fut in futures:
-                rows[futures[fut]] = fut.result()
+    rows = [_run_instance(i, samples[i], N, cfg, bases)
+            for N in cfg.horizons for i in range(cfg.instance_count)]
 
     aggregate = []
     for N in cfg.horizons:

@@ -137,24 +137,3 @@ class MilpProblem:
         if self.row_labels and len(self.row_labels) != m:
             out.append(f"{len(self.row_labels)} row labels for {m} rows")
         return out
-
-    def with_bounds(self, lb, ub) -> "MilpProblem":
-        """Shallow copy sharing all rows but with replaced bound arrays."""
-        return MilpProblem(
-            c=self.c,
-            obj_const=self.obj_const,
-            A=self.A,
-            relations=self.relations,
-            b=self.b,
-            lb=np.asarray(lb, dtype=float).copy(),
-            ub=np.asarray(ub, dtype=float).copy(),
-            is_int=self.is_int,
-            labels=self.labels,
-            row_labels=self.row_labels,
-        )
-
-    def relax(self) -> "MilpProblem":
-        """Continuous relaxation: same problem with integrality dropped."""
-        out = self.with_bounds(self.lb, self.ub)
-        out.is_int = np.zeros(self.n_vars, dtype=bool)
-        return out

@@ -1,60 +1,27 @@
-"""Disjunctive MPC builder for piecewise-affine systems.
+"""Exact one-step plant update for piecewise-affine systems.
 
 A PWA system is a set of affine regimes
 
     x_{t+1} = A_i x_t + B_i u_t + E_i d_t
     y_t     = C_i x_t + F_i w_t
 
-with regime-local constraints and stage costs. The MPC model introduces
-one disjunction per period whose disjuncts carry the regime dynamics,
-output rows, local constraints and an equation routing the regime's
-stage cost into a shared per-period cost variable; the objective is the
-sum of those cost variables. Regime switching logic is supplied by a
-builder hook so arbitrary mixes of algebraic rows and CNF clauses over
-the mode indicators can be attached.
-
-Slot conventions for regime-local data (documented once, used twice):
-
-* ``local_constraints`` index a combined (state, input) vector: slots
-  ``0..n-1`` are the state, slots ``n..n+m-1`` the input;
-* ``stage_cost`` indexes a combined (output, input) vector: slots
-  ``0..k-1`` are the output, slots ``k..k+m-1`` the input.
+The closed-loop harness steps the true plant with
+:func:`simulate_pwa_step`; the MPC model itself is built directly by
+:mod:`.thermostat`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gdp import (
-    AffineExpr,
-    CnfClause,
-    Disjunct,
-    Disjunction,
-    GdpModel,
-    IndicatorRef,
-    LinConstraint,
-    Variable,
-)
-from .milp import Relation
-
-__all__ = [
-    "PwaRegime",
-    "PwaSystem",
-    "SwitchingSpec",
-    "ModeIndicator",
-    "PwaMpcLayout",
-    "mpc_layout",
-    "build_disjunctive_mpc",
-    "simulate_pwa_step",
-]
+__all__ = ["PwaRegime", "PwaSystem", "simulate_pwa_step"]
 
 
 @dataclass(frozen=True)
 class PwaRegime:
-    """One affine regime; see the module docstring for slot conventions."""
+    """One affine regime."""
 
     name: str
     A: np.ndarray
@@ -62,40 +29,11 @@ class PwaRegime:
     E: np.ndarray
     C: np.ndarray
     F: np.ndarray
-    local_constraints: tuple = ()
-    stage_cost: AffineExpr = AffineExpr((), 0.0)
-
-
-@dataclass(frozen=True)
-class SwitchingSpec:
-    """Hook emitting switching structure between periods t and t+1.
-
-    ``emit(builder, t)`` is called for every t in 0..N-2 and may add
-    algebraic rows and CNF clauses through the builder; anything it adds
-    must stay within periods t and t+1.
-    """
-
-    emit: Callable
-
-
-@dataclass(frozen=True)
-class ModeIndicator:
-    """Binary selecting regime ``regime`` at period ``period``."""
-
-    period: int
-    regime: int
-
-    @property
-    def ref(self) -> IndicatorRef:
-        return IndicatorRef(self.period, self.regime)
 
 
 @dataclass(frozen=True)
 class PwaSystem:
     regimes: tuple
-    state_bounds: tuple  # (x_min, x_max) arrays
-    input_bounds: tuple  # (u_min, u_max) arrays
-    switching: SwitchingSpec | None = None
 
     @property
     def n(self) -> int:
@@ -104,284 +42,6 @@ class PwaSystem:
     @property
     def m(self) -> int:
         return int(np.asarray(self.regimes[0].B).shape[1])
-
-    @property
-    def k(self) -> int:
-        return int(np.asarray(self.regimes[0].C).shape[0])
-
-    def check_dimensions(self):
-        n, m, k = self.n, self.m, self.k
-        v = int(np.asarray(self.regimes[0].E).shape[1])
-        for rg in self.regimes:
-            A, B, E, C = (np.asarray(rg.A), np.asarray(rg.B),
-                          np.asarray(rg.E), np.asarray(rg.C))
-            if A.shape != (n, n) or B.shape != (n, m):
-                raise ValueError(f"regime {rg.name}: dynamics shape mismatch")
-            if E.shape != (n, v):
-                raise ValueError(f"regime {rg.name}: disturbance shape mismatch")
-            if C.shape[1] != n or C.shape[0] != k:
-                raise ValueError(f"regime {rg.name}: output shape mismatch")
-        lo, hi = self.state_bounds
-        ulo, uhi = self.input_bounds
-        if len(lo) != n or len(hi) != n or len(ulo) != m or len(uhi) != m:
-            raise ValueError("bound vectors disagree with system dimensions")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
-                and np.all(np.isfinite(ulo)) and np.all(np.isfinite(uhi))):
-            raise ValueError("state and input bounds must be finite")
-        if np.any(np.asarray(lo) > np.asarray(hi)) or np.any(
-            np.asarray(ulo) > np.asarray(uhi)
-        ):
-            raise ValueError("bounds out of order")
-        return v
-
-
-@dataclass(frozen=True)
-class PwaMpcLayout:
-    """Column layout of the MPC model: x block, u block, y block, cost block."""
-
-    n: int
-    m: int
-    k: int
-    horizon: int
-
-    def x_index(self, t: int, j: int) -> int:
-        return t * self.n + j
-
-    def u_index(self, t: int, j: int) -> int:
-        return (self.horizon + 1) * self.n + t * self.m + j
-
-    def y_index(self, t: int, j: int) -> int:
-        N = self.horizon
-        return (N + 1) * self.n + N * self.m + t * self.k + j
-
-    def cost_index(self, t: int) -> int:
-        N = self.horizon
-        return (N + 1) * self.n + N * self.m + N * self.k + t
-
-    @property
-    def n_vars(self) -> int:
-        N = self.horizon
-        return (N + 1) * self.n + N * (self.m + self.k + 1)
-
-
-def mpc_layout(system: PwaSystem, horizon: int) -> PwaMpcLayout:
-    return PwaMpcLayout(system.n, system.m, system.k, horizon)
-
-
-class SwitchingBuilder:
-    """What a SwitchingSpec hook gets to talk to."""
-
-    def __init__(self, system: PwaSystem, layout: PwaMpcLayout):
-        self.system = system
-        self.layout = layout
-        self.constraints: list = []
-        self.clauses: list = []
-        self._window = (0, 0)
-
-    def indicator(self, t: int, regime: int) -> IndicatorRef:
-        return IndicatorRef(t, regime)
-
-    def _allowed_columns(self):
-        lay = self.layout
-        lo, hi = self._window
-        cols = set()
-        for t in (lo, hi):
-            for j in range(lay.n):
-                cols.add(lay.x_index(t, j))
-            if t < lay.horizon:
-                for j in range(lay.m):
-                    cols.add(lay.u_index(t, j))
-                for j in range(lay.k):
-                    cols.add(lay.y_index(t, j))
-        return cols
-
-    def add_constraint(self, con: LinConstraint):
-        allowed = self._allowed_columns()
-        for v, c in con.expr.terms:
-            if c != 0.0 and v.index not in allowed:
-                raise ValueError(
-                    "switching row references a variable outside periods "
-                    f"{self._window[0]} and {self._window[1]}"
-                )
-        self.constraints.append(con)
-
-    def add_clause(self, clause: CnfClause):
-        lo, hi = self._window
-        for ref, _ in clause.literals:
-            if ref.disjunction not in (lo, hi):
-                raise ValueError(
-                    "switching clause references a mode outside periods "
-                    f"{lo} and {hi}"
-                )
-        self.clauses.append(clause)
-
-
-def _interval(row: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    a = np.where(row >= 0, row * lo, row * hi)
-    b = np.where(row >= 0, row * hi, row * lo)
-    return float(a.sum()), float(b.sum())
-
-
-def build_disjunctive_mpc(
-    system: PwaSystem,
-    horizon: int,
-    x0,
-    mode0: int | None = None,
-    disturbances=None,
-) -> GdpModel:
-    """Assemble the disjunctive MPC model over the given horizon.
-
-    Column order follows :class:`PwaMpcLayout`; disjunction t selects the
-    regime active during period t. ``mode0`` pins the period-0 regime via
-    a unit clause. Disturbances default to zero.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    v = system.check_dimensions()
-    n, m, k = system.n, system.m, system.k
-    S = len(system.regimes)
-    N = horizon
-
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != n:
-        raise ValueError("x0 has wrong dimension")
-    xlo, xhi = (np.asarray(b, dtype=float) for b in system.state_bounds)
-    ulo, uhi = (np.asarray(b, dtype=float) for b in system.input_bounds)
-    if np.any(x0 < xlo - 1e-12) or np.any(x0 > xhi + 1e-12):
-        raise ValueError("x0 out of state bounds")
-    if mode0 is not None and not (0 <= mode0 < S):
-        raise ValueError("mode0 out of range")
-
-    if disturbances is None:
-        dist = np.zeros((N, v))
-    else:
-        dist = np.asarray(disturbances, dtype=float).reshape(N, v)
-
-    lay = mpc_layout(system, N)
-
-    # output and stage-cost boxes: union of per-regime interval images
-    ylo = np.full(k, np.inf)
-    yhi = np.full(k, -np.inf)
-    for rg in system.regimes:
-        C = np.asarray(rg.C, dtype=float)
-        for j in range(k):
-            a, b = _interval(C[j], xlo, xhi)
-            ylo[j] = min(ylo[j], a)
-            yhi[j] = max(yhi[j], b)
-    if k == 0:
-        ylo = np.zeros(0)
-        yhi = np.zeros(0)
-
-    glo, ghi = np.inf, -np.inf
-    for rg in system.regimes:
-        lo = hi = rg.stage_cost.constant
-        for ref, c in rg.stage_cost.terms:
-            s = ref.index
-            if s < k:
-                a, b = c * ylo[s], c * yhi[s]
-            elif s < k + m:
-                a, b = c * ulo[s - k], c * uhi[s - k]
-            else:
-                raise ValueError(
-                    f"regime {rg.name}: stage cost slot {s} out of range"
-                )
-            lo += min(a, b)
-            hi += max(a, b)
-        glo = min(glo, lo)
-        ghi = max(ghi, hi)
-
-    variables = []
-    for t in range(N + 1):
-        for j in range(n):
-            if t == 0:
-                variables.append(Variable(f"x[{t},{j}]", float(x0[j]), float(x0[j])))
-            else:
-                variables.append(Variable(f"x[{t},{j}]", float(xlo[j]), float(xhi[j])))
-    for t in range(N):
-        for j in range(m):
-            variables.append(Variable(f"u[{t},{j}]", float(ulo[j]), float(uhi[j])))
-    for t in range(N):
-        for j in range(k):
-            variables.append(Variable(f"y[{t},{j}]", float(ylo[j]), float(yhi[j])))
-    for t in range(N):
-        variables.append(Variable(f"cost[{t}]", glo, ghi))
-
-    def translate_local(con: LinConstraint, t: int) -> LinConstraint:
-        coeffs = {}
-        for ref, c in con.expr.terms:
-            s = ref.index
-            if s < n:
-                coeffs[lay.x_index(t, s)] = c
-            elif s < n + m:
-                coeffs[lay.u_index(t, s - n)] = c
-            else:
-                raise ValueError(f"local constraint slot {s} out of range")
-        return LinConstraint(AffineExpr.of(coeffs, con.expr.constant), con.relation)
-
-    disjunctions = []
-    for t in range(N):
-        disjuncts = []
-        for i, rg in enumerate(system.regimes):
-            A = np.asarray(rg.A, dtype=float)
-            B = np.asarray(rg.B, dtype=float)
-            E = np.asarray(rg.E, dtype=float)
-            C = np.asarray(rg.C, dtype=float)
-            offset = E @ dist[t]
-            rows = []
-            for l in range(n):
-                coeffs = {lay.x_index(t + 1, l): 1.0}
-                for j in range(n):
-                    if A[l, j] != 0.0:
-                        coeffs[lay.x_index(t, j)] = coeffs.get(
-                            lay.x_index(t, j), 0.0
-                        ) - A[l, j]
-                for j in range(m):
-                    if B[l, j] != 0.0:
-                        coeffs[lay.u_index(t, j)] = -B[l, j]
-                rows.append(LinConstraint(
-                    AffineExpr.of(coeffs, -float(offset[l])), Relation.EQ
-                ))
-            for l in range(k):
-                coeffs = {lay.y_index(t, l): 1.0}
-                for j in range(n):
-                    if C[l, j] != 0.0:
-                        coeffs[lay.x_index(t, j)] = -C[l, j]
-                rows.append(LinConstraint(AffineExpr.of(coeffs), Relation.EQ))
-            for con in rg.local_constraints:
-                rows.append(translate_local(con, t))
-            cost_coeffs = {}
-            for ref, c in rg.stage_cost.terms:
-                s = ref.index
-                col = lay.y_index(t, s) if s < k else lay.u_index(t, s - k)
-                cost_coeffs[col] = c
-            cost_coeffs[lay.cost_index(t)] = -1.0
-            rows.append(LinConstraint(
-                AffineExpr.of(cost_coeffs, rg.stage_cost.constant), Relation.EQ
-            ))
-            disjuncts.append(Disjunct(f"t{t}_{rg.name}", tuple(rows), 0.0))
-        disjunctions.append(Disjunction(tuple(disjuncts)))
-
-    clauses = []
-    if mode0 is not None:
-        clauses.append(CnfClause(((IndicatorRef(0, mode0), True),)))
-
-    extra_rows: tuple = ()
-    if system.switching is not None and N >= 2:
-        builder = SwitchingBuilder(system, lay)
-        for t in range(N - 1):
-            builder._window = (t, t + 1)
-            system.switching.emit(builder, t)
-        extra_rows = tuple(builder.constraints)
-        clauses.extend(builder.clauses)
-
-    objective = AffineExpr.of({lay.cost_index(t): 1.0 for t in range(N)})
-    return GdpModel(
-        variables=tuple(variables),
-        objective=objective,
-        global_constraints=extra_rows,
-        disjunctions=tuple(disjunctions),
-        propositions=tuple(clauses),
-    )
 
 
 def simulate_pwa_step(system: PwaSystem, x, u, d=None, regime: int = 0,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gdp import AffineExpr, CnfClause, GdpModel, IndicatorRef, validate
+from .gdp import AffineExpr, GdpModel, IndicatorRef, validate
 from .milp import MilpProblem, Relation
 
 __all__ = [

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bnb import SolveOptions, SolveResult, SolveStatus, solve
+from .bnb import SolveOptions, SolveStatus, solve
 from .pwa import PwaRegime, PwaSystem, simulate_pwa_step
 from .reformulate import selection_from_point
 from .simplex import SimplexEngine
@@ -28,8 +28,6 @@ from .thermostat import (
     ON,
     OPERATING_MODES,
     BuildingModel,
-    TEMP_MAX,
-    TEMP_MIN,
     ThermostatLayout,
     ThermostatParams,
     build_thermostat_mpc,
@@ -65,7 +63,6 @@ class Scenario:
     params: ThermostatParams = field(default_factory=ThermostatParams)
     x0: tuple = (21.0, 21.0, 21.0, 21.0)
     periods: int = 480
-    start_time: str = "07:00"
 
     def __post_init__(self):
         if self.periods < 1:
@@ -111,11 +108,9 @@ class ClosedLoopTrace:
         self.energy_kwh_cum.append(energy)
 
 
-def building_system(building: BuildingModel | None = None,
-                    params: ThermostatParams | None = None) -> PwaSystem:
+def building_system(building: BuildingModel | None = None) -> PwaSystem:
     """The plant as a one-regime PWA system (heat input is the only input)."""
     b = building if building is not None else default_building()
-    p = params if params is not None else ThermostatParams()
     regime = PwaRegime(
         "building",
         np.asarray(b.A, dtype=float),
@@ -124,11 +119,7 @@ def building_system(building: BuildingModel | None = None,
         np.array([[0.0, 0.0, 0.0, 1.0]]),
         np.zeros((1, 1)),
     )
-    return PwaSystem(
-        (regime,),
-        (np.full(4, TEMP_MIN), np.full(4, TEMP_MAX)),
-        (np.zeros(1), np.array([p.u_max])),
-    )
+    return PwaSystem((regime,))
 
 
 def comfort_violation(T: float, params: ThermostatParams) -> float:
@@ -145,7 +136,7 @@ def simulate_rtc(scenario: Scenario | None = None) -> ClosedLoopTrace:
     """Relay thermostat control with the setpoint parked at T_set."""
     sc = scenario if scenario is not None else Scenario()
     p = sc.params
-    system = building_system(sc.building, p)
+    system = building_system(sc.building)
     trace = ClosedLoopTrace(dt_minutes=sc.building.dt_minutes)
     x = np.asarray(sc.x0, dtype=float).copy()
     s = p.s0
@@ -231,7 +222,7 @@ def simulate_dmpc(
         raise ValueError("N and M must be at least 1")
     sc = scenario if scenario is not None else Scenario()
     p = sc.params
-    system = building_system(sc.building, p)
+    system = building_system(sc.building)
     controller = _MpcController(p, sc.building, N, variant, bigm)
     trace = ClosedLoopTrace(dt_minutes=sc.building.dt_minutes)
 

@@ -276,13 +276,9 @@ def build_thermostat_gdp(
     )
 
 
-VARIANTS = ("gdp_hull", "gdp_bigm", "milp_baseline")
+VARIANTS = ("gdp_hull", "gdp_bigm")
 
-_VARIANT_ALIASES = {
-    "hull": "gdp_hull",
-    "bigm": "gdp_bigm",
-    "milp": "milp_baseline",
-}
+_VARIANT_ALIASES = {"hull": "gdp_hull", "bigm": "gdp_bigm"}
 
 
 def build_thermostat_mpc(
@@ -296,9 +292,10 @@ def build_thermostat_mpc(
 ) -> MilpProblem:
     """MILP for the thermostat MPC under the chosen reformulation.
 
-    ``milp_baseline`` is the textbook mixed-logical model; for this
-    problem class it coincides row for row with the fixed-M big-M
-    reformulation, so both names share one code path.
+    ``variant`` is ``gdp_hull`` (alias ``hull``) for the hull lowering or
+    ``gdp_bigm`` (alias ``bigm``) for big-M with the fixed constant ``M``;
+    for this problem class the textbook mixed-logical model coincides
+    row for row with the latter.
     """
     canon = _VARIANT_ALIASES.get(variant, variant)
     if canon not in VARIANTS:

@@ -126,3 +126,15 @@ def test_gapstudy_unknown_config_key_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "node_limt" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_simulate_unknown_config_key_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = rtc\nperods = 4\n")
+    out = tmp_path / "t.csv"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "perods" in err
+    assert "mode, periods, N, M, variant, bigm, apply_sequence" in err
+    assert not out.exists()

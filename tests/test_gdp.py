@@ -9,9 +9,6 @@ from dmpc.bnb import SolveStatus
 from dmpc.gdp import (
     AffineExpr,
     CnfClause,
-    Disjunct,
-    Disjunction,
-    GdpModel,
     IndicatorRef,
     LinConstraint,
     Variable,

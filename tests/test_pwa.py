@@ -1,4 +1,4 @@
-"""Disjunctive MPC builder for PWA systems: layout, model, plan vs plant."""
+"""PWA plant step, and the thermostat plan checked against that plant."""
 
 import numpy as np
 import pytest
@@ -6,148 +6,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmpc.bnb import SolveStatus, solve
-from dmpc.gdp import AffineExpr, brute_force_solve, validate
-from dmpc.pwa import (
-    PwaRegime,
-    PwaSystem,
-    build_disjunctive_mpc,
-    mpc_layout,
-    simulate_pwa_step,
+from dmpc.pwa import PwaRegime, PwaSystem, simulate_pwa_step
+from dmpc.reformulate import selection_from_point
+from dmpc.simulate import building_system
+from dmpc.thermostat import (
+    OFF,
+    OPERATING_MODES,
+    ThermostatLayout,
+    ThermostatParams,
+    build_thermostat_mpc,
 )
-from dmpc.reformulate import selection_from_point, to_hull
 
 
-def scalar_system(a_values=(0.5, 1.2)):
-    """1-state, 1-input, 1-output system with one regime per a value.
-
-    Stage cost |y|-free: cost = y + 0.1 u keeps the LP simple and linear.
-    """
+def scalar_system(a_values=(0.5, 1.2), e=0.0):
+    """1-state, 1-input, 1-output system with one regime per a value."""
     regimes = tuple(
         PwaRegime(
             name=f"a{idx}",
             A=np.array([[a]]),
             B=np.array([[1.0]]),
-            E=np.zeros((1, 1)),
+            E=np.array([[e]]),
             C=np.array([[1.0]]),
-            F=np.zeros((1, 1)),
-            stage_cost=AffineExpr.of({0: 1.0, 1: 0.1}),
+            F=np.array([[1.0]]),
         )
         for idx, a in enumerate(a_values)
     )
-    return PwaSystem(
-        regimes=regimes,
-        state_bounds=(np.array([-10.0]), np.array([10.0])),
-        input_bounds=(np.array([0.0]), np.array([2.0])),
-    )
-
-
-def test_check_dimensions_returns_disturbance_width():
-    assert scalar_system().check_dimensions() == 1
-
-
-def test_check_dimensions_rejects_mismatch():
-    sys_ = scalar_system()
-    bad = PwaRegime(
-        name="bad", A=np.eye(2), B=np.ones((2, 1)), E=np.zeros((2, 1)),
-        C=np.ones((1, 2)), F=np.zeros((1, 1)),
-    )
-    broken = PwaSystem(
-        regimes=(sys_.regimes[0], bad),
-        state_bounds=sys_.state_bounds,
-        input_bounds=sys_.input_bounds,
-    )
-    with pytest.raises(ValueError):
-        broken.check_dimensions()
-
-
-def test_layout_indices_are_a_bijection():
-    sys_ = scalar_system()
-    lay = mpc_layout(sys_, 4)
-    seen = set()
-    for t in range(5):
-        seen.add(lay.x_index(t, 0))
-    for t in range(4):
-        seen.add(lay.u_index(t, 0))
-        seen.add(lay.y_index(t, 0))
-        seen.add(lay.cost_index(t))
-    assert len(seen) == lay.n_vars
-    assert seen == set(range(lay.n_vars))
-
-
-def test_built_model_validates():
-    model = build_disjunctive_mpc(scalar_system(), 3, np.array([1.0]))
-    assert validate(model) == []
-    assert len(model.disjunctions) == 3
-
-
-def test_x0_outside_state_box_rejected():
-    with pytest.raises(ValueError):
-        build_disjunctive_mpc(scalar_system(), 2, np.array([99.0]))
-
-
-def test_mode0_pins_first_disjunction():
-    model = build_disjunctive_mpc(scalar_system(), 2, np.array([1.0]),
-                                  mode0=1)
-    res = brute_force_solve(model)
-    assert res.status is SolveStatus.OPTIMAL
-    assert res.selection[0] == 1
-
-
-def test_optimizer_prefers_decaying_regime():
-    # regime 0 shrinks the state, regime 1 grows it; cost rewards small y.
-    # The final period's regime never touches a costed output, so only
-    # the first two choices are pinned.
-    model = build_disjunctive_mpc(scalar_system(), 3, np.array([2.0]))
-    res = brute_force_solve(model)
-    assert res.selection[:2] == (0, 0)
-    assert res.objective == pytest.approx(2.0 + 1.0 + 0.5)
-
-
-def test_plan_matches_plant_rollout():
-    sys_ = scalar_system()
-    N = 4
-    model = build_disjunctive_mpc(sys_, N, np.array([2.0]))
-    prob = to_hull(model)
-    res = solve(prob)
-    assert res.status is SolveStatus.OPTIMAL
-    selection = selection_from_point(prob, res.point)
-    lay = mpc_layout(sys_, N)
-    x = np.array([2.0])
-    for t in range(N):
-        u = np.array([res.point[lay.u_index(t, 0)]])
-        np.testing.assert_allclose(res.point[lay.x_index(t, 0)], x,
-                                   atol=1e-6)
-        x, y = simulate_pwa_step(sys_, x, u, regime=selection[t])
-        np.testing.assert_allclose(res.point[lay.y_index(t, 0)], y,
-                                   atol=1e-6)
-    np.testing.assert_allclose(res.point[lay.x_index(N, 0)], x, atol=1e-6)
-
-
-def test_shift_property():
-    # re-solving from the plan's second state over N-1 periods can only
-    # match or beat the tail of the original plan
-    sys_ = scalar_system()
-    N = 4
-    model = build_disjunctive_mpc(sys_, N, np.array([2.0]))
-    res = brute_force_solve(model)
-    lay = mpc_layout(sys_, N)
-    stage0 = res.point[lay.cost_index(0)]
-    x1 = res.point[lay.x_index(1, 0)]
-    tail = brute_force_solve(build_disjunctive_mpc(sys_, N - 1,
-                                                   np.array([x1])))
-    assert tail.objective <= res.objective - stage0 + 1e-6
+    return PwaSystem(regimes)
 
 
 def test_disturbance_enters_dynamics():
-    sys_ = scalar_system()
-    d = [np.array([0.5]), np.array([0.0])]
-    model = build_disjunctive_mpc(sys_, 2, np.array([0.0]), disturbances=d)
-    res = brute_force_solve(model)
-    lay = mpc_layout(sys_, 2)
-    # E is zero for this system, so disturbances must not move the state
-    assert res.point[lay.x_index(1, 0)] == pytest.approx(
-        res.point[lay.u_index(0, 0)] * 1.0, abs=1e-9
-    )
+    sys_ = scalar_system(e=2.0)
+    x_next, y = simulate_pwa_step(sys_, [1.0], [0.5], d=[0.25], regime=0,
+                                  noise=[0.1])
+    assert x_next[0] == pytest.approx(0.5 * 1.0 + 0.5 + 2.0 * 0.25)
+    assert y[0] == pytest.approx(1.0 + 0.1)
+    x_quiet, _ = simulate_pwa_step(sys_, [1.0], [0.5], regime=0)
+    assert x_quiet[0] == pytest.approx(1.0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -161,3 +55,40 @@ def test_simulate_step_matches_linear_algebra(x0, regime_count):
                                       regime=idx)
         assert x_next[0] == pytest.approx(a * x0 + 1.0)
         assert y[0] == pytest.approx(x0)
+
+
+def test_plan_matches_plant_rollout():
+    # the MPC's predicted states are what the closed loop's plant does
+    # under the planned heat inputs
+    N = 5
+    x0 = np.full(4, 19.5)
+    res = solve(build_thermostat_mpc(x0, OFF, N))
+    assert res.status is SolveStatus.OPTIMAL
+    lay = ThermostatLayout(N)
+    plant = building_system()
+    x = x0
+    for t in range(N + 1):
+        planned = [res.point[lay.x_index(t, j)] for j in range(4)]
+        np.testing.assert_allclose(planned, x, atol=1e-6)
+        if t < N:
+            x, y = simulate_pwa_step(plant, x, [res.point[lay.u_index(t)]])
+            assert y[0] == pytest.approx(planned[3], abs=1e-6)
+    assert any(res.point[lay.u_index(t)] > 0.0 for t in range(N))
+
+
+def test_shift_property():
+    # re-planning from the plan's second state over N-1 periods can only
+    # match or beat the tail of the original plan
+    N = 4
+    p = ThermostatParams()
+    prob = build_thermostat_mpc(np.full(4, 19.5), OFF, N, p)
+    res = solve(prob)
+    assert res.status is SolveStatus.OPTIMAL
+    lay = ThermostatLayout(N)
+    stage0 = (p.alpha * res.point[lay.u_index(0)]
+              + p.beta * res.point[lay.m_index(1)])
+    x1 = [res.point[lay.x_index(1, j)] for j in range(4)]
+    s1 = OPERATING_MODES[selection_from_point(prob, res.point)[0]].s_next
+    tail = solve(build_thermostat_mpc(x1, s1, N - 1, p))
+    assert tail.status is SolveStatus.OPTIMAL
+    assert tail.objective <= res.objective - stage0 + 1e-6 * abs(res.objective)

@@ -1,6 +1,6 @@
 """Closed-loop simulation: RTC baseline, D-MPC loop, trace I/O, auditor."""
 
-import dataclasses
+import hashlib
 import io
 import math
 
@@ -147,11 +147,19 @@ def test_apply_sequence_path_runs_and_audits():
     assert audit_trace(trace, sc.params.gamma) == []
 
 
+# sha256 of the trace CSV below; a change that leaves the pivot order and
+# the plant alone keeps it
+DMPC_TRACE_SHA256 = (
+    "4de5ec121204f93e61930828df396bb65db074a0738b9182836d5160b596e1e4"
+)
+
+
 def test_dmpc_determinism():
     sc = Scenario(x0=(20.5,) * 4, periods=10)
     a = _csv_text(simulate_dmpc(sc, N=4, M=2))
     b = _csv_text(simulate_dmpc(sc, N=4, M=2))
     assert a == b
+    assert hashlib.sha256(a.encode()).hexdigest() == DMPC_TRACE_SHA256
 
 
 def test_solve_records_shape():

@@ -128,20 +128,20 @@ def test_cold_start_heats():
 
 def test_variant_aliases_accepted():
     x0 = np.full(4, 21.0)
-    for variant in ("hull", "bigm", "milp", "gdp_hull", "gdp_bigm",
-                    "milp_baseline"):
+    for variant in ("hull", "bigm", "gdp_hull", "gdp_bigm"):
         prob = build_thermostat_mpc(x0, OFF, 1, variant=variant)
         # reformulation adds indicator (and for hull, disaggregated) columns
         assert prob.n_vars >= 7 * 1 + 5 + 4
-    with pytest.raises(ValueError):
-        build_thermostat_mpc(x0, OFF, 1, variant="nope")
+    for variant in ("nope", "milp", "milp_baseline"):
+        with pytest.raises(ValueError):
+            build_thermostat_mpc(x0, OFF, 1, variant=variant)
 
 
 def test_variants_agree_on_small_horizons():
     x0 = np.array([20.0, 21.0, 20.5, 19.5])
     for N in (1, 2):
         ref = brute_force_solve(build_thermostat_gdp(x0, OFF, N))
-        for variant in ("gdp_hull", "gdp_bigm", "milp_baseline"):
+        for variant in ("gdp_hull", "gdp_bigm"):
             res = solve(build_thermostat_mpc(x0, OFF, N, variant=variant))
             assert res.status is SolveStatus.OPTIMAL
             assert res.objective == pytest.approx(ref.objective, abs=1e-6)
