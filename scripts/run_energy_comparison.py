@@ -28,6 +28,10 @@ from dmpc.simulate import (  # noqa: E402
 )
 
 
+def _ratio(num: float, den: float) -> str:
+    return f"{num / den:.4f}" if den else "n/a"  # short runs may never heat
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--periods", type=int, default=480)
@@ -71,10 +75,10 @@ def main() -> int:
     m1 = runs["dmpc_m1"].energy_kwh
     m20 = runs["dmpc_m20"].energy_kwh
     hold = runs["dmpc_m20_hold"].energy_kwh
-    print(f"ratio M=1 / RTC:  {m1 / rtc:.4f}")
-    print(f"ratio M=20 / M=1: {m20 / m1:.4f}")
-    print(f"ratio M=20 / RTC: {m20 / rtc:.4f}")
-    print(f"ratio M=20 hold-policy / M=1: {hold / m1:.4f} "
+    print(f"ratio M=1 / RTC:  {_ratio(m1, rtc)}")
+    print(f"ratio M=20 / M=1: {_ratio(m20, m1)}")
+    print(f"ratio M=20 / RTC: {_ratio(m20, rtc)}")
+    print(f"ratio M=20 hold-policy / M=1: {_ratio(hold, m1)} "
           f"(slack {runs['dmpc_m20_hold'].total_slack:.1f} "
           f"vs {runs['dmpc_m20'].total_slack:.1f})")
     return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -65,10 +65,10 @@ class SolveOptions:
 class SolveResult:
     """Outcome of a MILP (or brute-force GDP) solve.
 
-    ``best_bound`` is a valid lower bound on the optimum; ``gap_percent``
-    is ``100 (objective - best_bound) / max(|objective|, 1e-12)`` and is
-    +inf when there is no incumbent. ``bound_history`` records the global
-    bound after each solved node, starting at the root relaxation value.
+    ``best_bound`` is a valid lower bound on the optimum: the best open
+    node's LP value, capped at the incumbent's. ``gap_percent`` is
+    ``100 (objective - best_bound) / max(|objective|, 1e-12)`` and is +inf
+    when there is no incumbent.
     """
 
     status: SolveStatus
@@ -77,7 +77,6 @@ class SolveResult:
     best_bound: float
     nodes_explored: int
     gap_percent: float
-    bound_history: list = field(default_factory=list)
     selection: tuple | None = None
 
 
@@ -126,29 +125,18 @@ def solve(
 
     incumbent = None
     z = math.inf
-    best_gap_bound = None  # set when stopping because the gap closed
     nodes = 0
-    hist: list = []
-    limit_hit = False
     unbounded = False
 
+    # every way out of the loop but exhaustion leaves the open nodes on
+    # the heap, and its top is then the global bound
     heap: list = [(-math.inf, 0, ())]
     seq = 1
 
-    def record_bound(fallback):
-        g = heap[0][0] if heap else (z if incumbent is not None else fallback)
-        if hist:
-            g = max(g, hist[-1])
-        if incumbent is not None:
-            g = min(g, z)
-        hist.append(g)
-
     while heap:
         if opts.node_limit is not None and nodes >= opts.node_limit:
-            limit_hit = True
             break
         if opts.time_limit is not None and time.monotonic() - t0 > opts.time_limit:
-            limit_hit = True
             break
 
         est, _, changes = heapq.heappop(heap)
@@ -156,7 +144,7 @@ def solve(
             if est >= z - 1e-9:
                 continue
             if _gap_percent(z, est) <= 100.0 * REL_GAP_TOL:
-                best_gap_bound = est
+                heapq.heappush(heap, (est, -1, changes))
                 break
 
         lb, ub = root_lb.copy(), root_ub.copy()
@@ -168,18 +156,15 @@ def solve(
 
         if res.status == LpStatus.ITERATION_LIMIT:
             heapq.heappush(heap, (est, -1, changes))
-            limit_hit = True
             break
         if res.status == LpStatus.UNBOUNDED:
             unbounded = True
             break
         if res.status == LpStatus.INFEASIBLE:
-            record_bound(math.inf)
             continue
 
         val = res.objective
         if incumbent is not None and val >= z - 1e-9:
-            record_bound(val)
             continue
 
         x = res.point
@@ -207,7 +192,6 @@ def solve(
                 z = cand_val
                 incumbent = cand_pt.copy()
             if not branch_anyway or (incumbent is not None and val >= z - 1e-9):
-                record_bound(val)
                 continue
 
         col = int(int_cols[int(np.argmax(dist))])
@@ -217,35 +201,13 @@ def solve(
         heapq.heappush(heap, (val, seq, down))
         heapq.heappush(heap, (val, seq + 1, up))
         seq += 2
-        record_bound(val)
 
     if unbounded:
-        return SolveResult(
-            SolveStatus.UNBOUNDED, None, None, -math.inf, nodes, math.inf, hist
-        )
-
+        return SolveResult(SolveStatus.UNBOUNDED, None, None, -math.inf, nodes, math.inf)
+    bb = min(heap[0][0], z) if heap else z  # z is +inf without an incumbent
     if incumbent is None:
-        if limit_hit or heap:
-            bb = heap[0][0] if heap else -math.inf
-            return SolveResult(
-                SolveStatus.FEASIBLE_LIMIT, None, None, bb, nodes, math.inf, hist
-            )
-        return SolveResult(
-            SolveStatus.INFEASIBLE, None, None, math.inf, nodes, math.inf, hist
-        )
-
-    if best_gap_bound is not None:
-        bb = min(best_gap_bound, z)
-        status = SolveStatus.OPTIMAL
-    elif limit_hit or heap:
-        bb = min(heap[0][0], z) if heap else z
-        status = SolveStatus.FEASIBLE_LIMIT
-        if _gap_percent(z, bb) <= 100.0 * REL_GAP_TOL:
-            status = SolveStatus.OPTIMAL
-    else:
-        bb = z
-        status = SolveStatus.OPTIMAL
-
-    if hist:
-        hist[-1] = max(hist[-1], min(bb, z))
-    return SolveResult(status, incumbent, z, bb, nodes, _gap_percent(z, bb), hist)
+        status = SolveStatus.FEASIBLE_LIMIT if heap else SolveStatus.INFEASIBLE
+        return SolveResult(status, None, None, bb, nodes, math.inf)
+    gap = _gap_percent(z, bb)
+    status = SolveStatus.OPTIMAL if gap <= 100.0 * REL_GAP_TOL else SolveStatus.FEASIBLE_LIMIT
+    return SolveResult(status, incumbent, z, bb, nodes, gap)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bnb import SolveOptions, SolveStatus, solve
 from .simplex import SimplexEngine
-from .thermostat import OFF, ThermostatParams, build_thermostat_mpc
+from .thermostat import OFF, TEMP_MAX, TEMP_MIN, ThermostatParams, build_thermostat_mpc
 
 __all__ = ["GapStudyConfig", "run_gap_study", "write_report"]
 
@@ -56,6 +56,10 @@ class GapStudyConfig:
             raise ValueError("node limits must be at least 1")
         if self.x0_low > self.x0_high:
             raise ValueError("x0 sampling bounds out of order")
+        if self.x0_low < TEMP_MIN or self.x0_high > TEMP_MAX:
+            raise ValueError(f"x0 sampling bounds must lie in [{TEMP_MIN}, {TEMP_MAX}]")
+        if self.bigm <= 0:
+            raise ValueError("bigm must be positive")
 
 
 def _reference_bases(config: GapStudyConfig) -> dict:

@@ -182,13 +182,13 @@ def read_mps(source) -> MilpProblem:
     for raw in lines:
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
+        tok = raw.split()
         if raw[0] not in (" ", "\t"):
-            tok = raw.split()
-            section = tok[0].upper()
+            section = tok.pop(0).upper()
             if section == "ENDATA":
                 break
-            continue
-        tok = raw.split()
+            if not (section == "OBJSENSE" and tok):
+                continue  # "OBJSENSE MAX" on one line is read below
         if section == "OBJSENSE":
             if tok[0].upper() not in ("MIN", "MINIMIZE"):
                 raise ValueError("only minimization is supported")
@@ -236,7 +236,11 @@ def read_mps(source) -> MilpProblem:
                     raise ValueError(f"rhs for unknown row {row!r}")
         elif section == "RANGES":
             for k in range(1, len(tok) - 1, 2):
-                ranges[tok[k]] = float(tok[k + 1])
+                row, val = tok[k], float(tok[k + 1])
+                if row in row_index:
+                    ranges[row] = val
+                elif row != obj_row and row not in free_rows:
+                    raise ValueError(f"range for unknown row {row!r}")
         elif section == "BOUNDS":
             btype = tok[0].upper()
             j = touch_col(tok[2])

@@ -98,6 +98,16 @@ class Basis:
     vstat: np.ndarray
 
 
+def _degeneracy(step: float, run: int, bland: bool) -> tuple:
+    """Count consecutive steps of at most ``DEG_EPS``; returns (run, bland).
+
+    Bland's rule switches on after ``BLAND_AFTER`` of them and off again at
+    the first real step.
+    """
+    run = run + 1 if step <= DEG_EPS else 0
+    return run, run >= BLAND_AFTER or (bland and run > 0)
+
+
 def check_point(problem: MilpProblem, point) -> float:
     """Maximum signed violation of rows and bounds at ``point``.
 
@@ -131,12 +141,11 @@ class SimplexEngine:
         self.problem = problem
         self.n = problem.n_vars
         self.m = problem.n_rows
-        # sparse column/row forms: pricing and residuals cost O(nnz), and
+        # one sparse copy: pricing and residuals cost O(nnz), and
         # long-horizon MPC matrices are far too empty to keep dense
         self.A_csc = sp.csc_matrix(np.asarray(problem.A, dtype=float))
         self.A_csc.eliminate_zeros()
-        self.A_csr = self.A_csc.tocsr()
-        self.AT_csr = self.A_csc.T.tocsr()
+        self.AT_csr = self.A_csc.T  # a CSR view on the same arrays
         # [A | I]: basis matrices are column slices of it
         self.AI_csc = sp.hstack(
             [self.A_csc, sp.identity(problem.n_rows, format="csc")], format="csc"
@@ -150,19 +159,13 @@ class SimplexEngine:
         self.c2[:n] = problem.c
         self.art_sign = np.ones(m)
 
-        # logical bounds: slack in [0, inf) for LE rows, fixed 0 for EQ
-        self.log_lb = np.zeros(m)
-        self.log_ub = np.where(
+        # each solve writes the structural bounds; logicals are slacks in
+        # [0, inf) for LE rows and fixed at 0 for EQ rows
+        self.lb = np.zeros(self.nt)
+        self.ub = np.zeros(self.nt)
+        self.ub[n : n + m] = np.where(
             np.asarray(problem.relations) == Relation.LE, math.inf, 0.0
         )
-
-        self.lb = np.empty(self.nt)
-        self.ub = np.empty(self.nt)
-        self._set_struct_bounds(problem.lb, problem.ub)
-        self.lb[n : n + m] = self.log_lb
-        self.ub[n : n + m] = self.log_ub
-        self.lb[n + m :] = 0.0
-        self.ub[n + m :] = 0.0
 
         self.basis = np.empty(m, dtype=np.int64)
         self.vstat = np.empty(self.nt, dtype=np.int8)
@@ -182,10 +185,6 @@ class SimplexEngine:
 
     # ---------------------------------------------------------------- setup
 
-    def _set_struct_bounds(self, lb, ub):
-        self.lb[: self.n] = lb
-        self.ub[: self.n] = ub
-
     def _column(self, j: int) -> np.ndarray:
         n, m = self.n, self.m
         col = np.zeros(m)
@@ -200,11 +199,7 @@ class SimplexEngine:
 
     def _refactor(self):
         """Rebuild the sparse LU of the current basis; clear the eta file."""
-        m = self.m
-        if m == 0:
-            self._fresh = True
-            return
-        n, basis = self.n, self.basis
+        n, m, basis = self.n, self.m, self.basis
         art = basis >= n + m
         B = self.AI_csc[:, np.where(art, basis - m, basis)]
         if np.any(art):
@@ -244,18 +239,19 @@ class SimplexEngine:
 
     def _recompute_basics(self):
         """x_B = B^-1 (b - N x_N) from scratch."""
-        if self.m == 0:
-            return
         xx = self.x.copy()
         xx[self.basis] = 0.0
         n, m = self.n, self.m
-        r = self.b - (self.A_csr @ xx[:n] + xx[n : n + m] + self.art_sign * xx[n + m :])
+        r = self.b - (self.A_csc @ xx[:n] + xx[n : n + m] + self.art_sign * xx[n + m :])
         self.x[self.basis] = self._ftran(r)
+
+    def _reload(self):
+        """Refactor the current basis, then recompute x_B from scratch."""
+        self._refactor()
+        self._recompute_basics()
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         n, m = self.n, self.m
-        if m == 0:
-            return c.copy()
         y = self._btran(c[self.basis])
         d = np.empty(self.nt)
         d[:n] = c[:n] - self.AT_csr @ y
@@ -282,20 +278,18 @@ class SimplexEngine:
         two-phase primal from an artificial start.
         """
         p = self.problem
-        self._set_struct_bounds(
-            p.lb if lb is None else lb, p.ub if ub is None else ub
-        )
+        self.lb[: self.n] = p.lb if lb is None else lb
+        self.ub[: self.n] = p.ub if ub is None else ub
         self._iters = 0
         self._bland = False
         self._deg_run = 0
 
         if np.any(self.lb[: self.n] > self.ub[: self.n]):
             return LpResult(LpStatus.INFEASIBLE, None, None, 0)
-        if self.m == 0:
+        if self.m == 0:  # the only path without a basis
             return self._solve_unconstrained()
 
         # artificials must stay pinned at zero outside a phase-1 run
-        self.lb[self.n + self.m :] = 0.0
         self.ub[self.n + self.m :] = 0.0
 
         if warm and self._have_basis:
@@ -329,7 +323,7 @@ class SimplexEngine:
         stat[~finite_lo & ~finite_hi] = _FREE
         x[~finite_lo & ~finite_hi] = 0.0
 
-        r = self.b - self.A_csr @ x[:n]
+        r = self.b - self.A_csc @ x[:n]
         self.art_sign = np.where(r >= 0, 1.0, -1.0)
         arts = np.arange(n + m, n + 2 * m)
         x[arts] = np.abs(r)
@@ -337,7 +331,6 @@ class SimplexEngine:
         self.basis = arts.astype(np.int64)
         self.vstat = stat
         self.x = x
-        self.lb[n + m :] = 0.0
         self.ub[n + m :] = math.inf
         self._have_basis = True
         self._refactor()
@@ -379,8 +372,7 @@ class SimplexEngine:
             if self._iters >= MAX_ITER:
                 return LpStatus.ITERATION_LIMIT
             if self._k >= ETA_MAX or not self._fresh:
-                self._refactor()
-                self._recompute_basics()
+                self._reload()
             if phase_one and float(self.x[n + m :].sum()) <= stop_tol:
                 return LpStatus.OPTIMAL
 
@@ -415,8 +407,7 @@ class SimplexEngine:
             if step is None:
                 if phase_one:
                     # numerically impossible; force a clean restart
-                    self._refactor()
-                    self._recompute_basics()
+                    self._reload()
                     continue
                 return LpStatus.UNBOUNDED
 
@@ -447,12 +438,12 @@ class SimplexEngine:
         np.nan_to_num(relaxed, copy=False, nan=math.inf, posinf=math.inf)
 
         own_range = self.ub[q] - self.lb[q]
-        theta_max = float(np.min(relaxed)) if self.m else math.inf
+        theta_max = float(np.min(relaxed))
         if not math.isfinite(min(theta_max, own_range)):
             return None
 
         if self._bland:
-            d_true = float(np.min(deltas)) if self.m else math.inf
+            d_true = float(np.min(deltas))
             cand_idx = np.flatnonzero(deltas <= d_true)
             if math.isfinite(d_true) and cand_idx.size:
                 r = int(cand_idx[np.argmin(self.basis[cand_idx])])
@@ -469,11 +460,7 @@ class SimplexEngine:
         if not math.isfinite(delta):
             return None
 
-        self._deg_run = self._deg_run + 1 if delta <= DEG_EPS else 0
-        if self._deg_run >= BLAND_AFTER:
-            self._bland = True
-        elif self._deg_run == 0:
-            self._bland = False
+        self._deg_run, self._bland = _degeneracy(delta, self._deg_run, self._bland)
 
         if own_range <= d_basic + 1e-12:
             # entering variable flips to its opposite bound; basis unchanged
@@ -488,12 +475,20 @@ class SimplexEngine:
             self._iters += 1
             return delta
 
-        delta = d_basic
-        leave = int(self.basis[r])
+        self._pivot(r, q, w, t_dir * d_basic, rates[r] > 0)
+        return d_basic
 
-        self.x[self.basis] = xB - delta * rates
-        self.x[q] = self.x[q] + t_dir * delta
-        if rates[r] > 0:
+    def _pivot(self, r: int, q: int, w: np.ndarray, step: float, to_lower: bool):
+        """Basis change: column ``q`` enters on row ``r``.
+
+        Moves x by ``step`` along the entering direction (``x_B -= step
+        w``) and parks the leaving column on its lower bound if
+        ``to_lower``, else on its upper bound (free if that is infinite).
+        """
+        leave = int(self.basis[r])
+        self.x[self.basis] = self.x[self.basis] - step * w
+        self.x[q] = self.x[q] + step
+        if to_lower:
             self.x[leave] = self.lb[leave]
             self.vstat[leave] = _AT_LOWER if self.lb[leave] > -math.inf else _FREE
         else:
@@ -505,7 +500,6 @@ class SimplexEngine:
         if abs(w[r]) < 1e-5 * max(1.0, float(np.max(np.abs(w)))):
             self._fresh = False  # marginal pivot: refactor before trusting it
         self._iters += 1
-        return delta
 
     # ----------------------------------------------------------- dual path
 
@@ -516,10 +510,9 @@ class SimplexEngine:
         back to a cold one instead of raising.
         """
         try:
-            self._refactor()
+            self._reload()
         except RuntimeError:
             return None
-        self._recompute_basics()
         return self._reduced_costs(self.c2)
 
     def _dual_solve(self):
@@ -601,19 +594,14 @@ class SimplexEngine:
             stat = self.vstat
             lo_nb = (stat == _AT_LOWER) & (self.ub > self.lb)
             hi_nb = stat == _AT_UPPER
-            fr_nb = stat == _FREE
-            if leaving_low:
-                elig = (
-                    (lo_nb & (alpha < -PIVOT_TOL))
-                    | (hi_nb & (alpha > PIVOT_TOL))
-                    | (fr_nb & (np.abs(alpha) > PIVOT_TOL))
-                )
-            else:
-                elig = (
-                    (lo_nb & (alpha > PIVOT_TOL))
-                    | (hi_nb & (alpha < -PIVOT_TOL))
-                    | (fr_nb & (np.abs(alpha) > PIVOT_TOL))
-                )
+            # an entering column must push row r back toward its bound
+            a_dir = -alpha if leaving_low else alpha
+            aa = np.abs(alpha)
+            elig = (
+                (lo_nb & (a_dir > PIVOT_TOL))
+                | (hi_nb & (a_dir < -PIVOT_TOL))
+                | ((stat == _FREE) & (aa > PIVOT_TOL))
+            )
             if not np.any(elig):
                 # only certify infeasibility from exact data
                 if self._k or not d_exact:
@@ -626,7 +614,6 @@ class SimplexEngine:
 
             with np.errstate(divide="ignore", invalid="ignore"):
                 mag = np.where(lo_nb, d, np.where(hi_nb, -d, 0.0))
-                aa = np.abs(alpha)
                 ratios = np.where(elig, np.maximum(mag, 0.0) / aa, math.inf)
                 relaxed = np.where(elig, (np.maximum(mag, 0.0) + FEAS_TOL) / aa,
                                    math.inf)
@@ -651,32 +638,15 @@ class SimplexEngine:
                 continue
 
             theta_d = d[q] / piv
-            bound_r = (
-                self.lb[self.basis[r]] if leaving_low else self.ub[self.basis[r]]
-            )
-            tau = (xB[r] - bound_r) / piv
             leave = int(self.basis[r])
-            self.x[self.basis] = xB - tau * w
-            self.x[q] = self.x[q] + tau
-            self.x[leave] = bound_r
-            self.vstat[leave] = _AT_LOWER if leaving_low else _AT_UPPER
-            self.basis[r] = q
-            self.vstat[q] = _BASIC
-            self._push_eta(r, w)
-            if abs(piv) < 1e-5 * max(1.0, float(np.max(np.abs(w)))):
-                self._fresh = False
-            self._iters += 1
+            bound_r = self.lb[leave] if leaving_low else self.ub[leave]
+            self._pivot(r, q, w, (xB[r] - bound_r) / piv, leaving_low)
 
             d = d - theta_d * alpha
             d[q] = 0.0
             d[leave] = -theta_d
             d_exact = False
-
-            deg_run = deg_run + 1 if abs(theta_d) <= DEG_EPS else 0
-            if deg_run >= BLAND_AFTER:
-                bland = True
-            elif deg_run == 0:
-                bland = False
+            deg_run, bland = _degeneracy(abs(theta_d), deg_run, bland)
 
     # -------------------------------------------------------------- results
 
@@ -686,7 +656,7 @@ class SimplexEngine:
     def _verify(self) -> bool:
         n, m = self.n, self.m
         res = self.b - (
-            self.A_csr @ self.x[:n]
+            self.A_csc @ self.x[:n]
             + self.x[n : n + m]
             + self.art_sign * self.x[n + m :]
         )
@@ -700,8 +670,7 @@ class SimplexEngine:
 
     def _optimal_result(self) -> LpResult:
         if not self._verify():
-            self._refactor()
-            self._recompute_basics()
+            self._reload()
             if not self._verify():
                 if self._fb_depth >= 1:
                     # a cold restart already failed to verify; do not trust
@@ -717,8 +686,6 @@ class SimplexEngine:
         nb = self.vstat != _BASIC
         dual = float(
             self._btran(self.c2[self.basis]) @ self.b + d[nb] @ self.x[nb]
-            if self.m
-            else 0.0
         ) + self.obj_const
         obj = self._objective()
         return LpResult(

@@ -1,8 +1,9 @@
 """Closed-loop simulation harness: RTC baseline and receding-horizon MPC.
 
-Both controllers drive the same plant: the four-state building stepped
-exactly one period at a time, with the relay executing all switching.
-The MPC variant only moves the setpoint; the relay then reacts to it.
+One loop runs both controllers on the same plant: the four-state
+building stepped exactly one period at a time, with the relay executing
+all switching. A controller is only a setpoint policy: RTC parks the
+setpoint at ``T_set``, D-MPC moves it as planned; the relay reacts to it.
 Traces log, per period, the temperature seen by the relay, the setpoint
 in effect, the relay state, the heat input it implies, the comfort
 violation, and the running energy total. An independent auditor
@@ -132,24 +133,29 @@ def _energy_step(u: float, dt_minutes: float) -> float:
     return u * (dt_minutes / 60.0) / 1000.0
 
 
-def simulate_rtc(scenario: Scenario | None = None) -> ClosedLoopTrace:
-    """Relay thermostat control with the setpoint parked at T_set."""
-    sc = scenario if scenario is not None else Scenario()
+def _closed_loop(sc: Scenario, setpoint) -> ClosedLoopTrace:
+    """Step plant, relay, energy and trace; ``setpoint(t, x, s)`` gives r."""
     p = sc.params
     system = building_system(sc.building)
     trace = ClosedLoopTrace(dt_minutes=sc.building.dt_minutes)
     x = np.asarray(sc.x0, dtype=float).copy()
     s = p.s0
-    r = p.T_set
     energy = 0.0
     for t in range(sc.periods):
         T = float(x[3])
+        r = setpoint(t, x, s)
         u = p.u_max if s == ON else 0.0
         energy = energy + _energy_step(u, sc.building.dt_minutes)
         trace.append(t, T, r, s, u, comfort_violation(T, p), energy)
         s = relay_switch(s, T, r, p.gamma)
         x, _ = simulate_pwa_step(system, x, [u], None, 0)
     return trace
+
+
+def simulate_rtc(scenario: Scenario | None = None) -> ClosedLoopTrace:
+    """Relay thermostat control with the setpoint parked at T_set."""
+    sc = scenario if scenario is not None else Scenario()
+    return _closed_loop(sc, lambda t, x, s: sc.params.T_set)
 
 
 def _applied_setpoint(planned_r: float, planned_mode: int, T: float,
@@ -168,42 +174,6 @@ def _applied_setpoint(planned_r: float, planned_mode: int, T: float,
     return planned_r
 
 
-class _MpcController:
-    """Receding-horizon setpoint planner with cross-solve basis reuse."""
-
-    def __init__(self, params: ThermostatParams, building: BuildingModel,
-                 N: int, variant: str, bigm: float):
-        self.params = params
-        self.building = building
-        self.N = N
-        self.variant = variant
-        self.bigm = bigm
-        self.layout = ThermostatLayout(N)
-        self._basis = None
-
-    def plan(self, x, s: int, period: int):
-        problem = build_thermostat_mpc(
-            x, s, self.N, self.params, self.variant, self.bigm, self.building
-        )
-        engine = SimplexEngine(problem)
-        if self._basis is not None:
-            engine.load_basis(self._basis)
-        t0 = time.perf_counter()
-        res = solve(problem, SolveOptions(), engine=engine)
-        wall = time.perf_counter() - t0
-        if res.status is not SolveStatus.OPTIMAL or res.point is None:
-            raise RuntimeError(
-                f"MPC solve failed at period {period}: {res.status.name}"
-            )
-        self._basis = engine.snapshot_basis()
-        record = SolveRecord(period, res.status, res.objective,
-                             res.gap_percent, wall)
-        lay = self.layout
-        setpoints = [float(res.point[lay.r_index(k)]) for k in range(self.N)]
-        modes = selection_from_point(problem, res.point)
-        return setpoints, modes, record
-
-
 def simulate_dmpc(
     scenario: Scenario | None = None,
     N: int = 10,
@@ -216,40 +186,43 @@ def simulate_dmpc(
 
     Default policy holds the first computed setpoint until the next
     evaluation; ``apply_sequence`` plays out the planned setpoints
-    instead.
+    instead. Each plan re-solves warm from the previous plan's basis and
+    raises ``RuntimeError`` unless it is OPTIMAL.
     """
     if N < 1 or M < 1:
         raise ValueError("N and M must be at least 1")
     sc = scenario if scenario is not None else Scenario()
     p = sc.params
-    system = building_system(sc.building)
-    controller = _MpcController(p, sc.building, N, variant, bigm)
-    trace = ClosedLoopTrace(dt_minutes=sc.building.dt_minutes)
+    layout = ThermostatLayout(N)
+    solves: list = []
+    basis = setpoints = modes = hold = None  # the planner's state, set at t = 0
 
-    x = np.asarray(sc.x0, dtype=float).copy()
-    s = p.s0
-    energy = 0.0
-    setpoints: list = []
-    modes: tuple = ()
-    hold = p.T_set
-    for t in range(sc.periods):
+    def plan(t, x, s):
+        nonlocal basis, setpoints, modes, hold
         T = float(x[3])
-        if t % M == 0:
-            setpoints, modes, record = controller.plan(x, s, t)
-            trace.solves.append(record)
         k = t % M
+        if k == 0:
+            problem = build_thermostat_mpc(x, s, N, p, variant, bigm, sc.building)
+            engine = SimplexEngine(problem)
+            if basis is not None:
+                engine.load_basis(basis)
+            t0 = time.perf_counter()
+            res = solve(problem, SolveOptions(), engine=engine)
+            wall = time.perf_counter() - t0
+            if res.status is not SolveStatus.OPTIMAL or res.point is None:
+                raise RuntimeError(f"MPC solve failed at period {t}: {res.status.name}")
+            basis = engine.snapshot_basis()
+            solves.append(SolveRecord(t, res.status, res.objective, res.gap_percent, wall))
+            setpoints = [float(res.point[layout.r_index(j)]) for j in range(N)]
+            modes = selection_from_point(problem, res.point)
+            hold = _applied_setpoint(setpoints[0], modes[0], T, p.gamma)
         if apply_sequence:
-            j = min(k, len(setpoints) - 1)
-            r = _applied_setpoint(setpoints[j], modes[j], T, p.gamma)
-        else:
-            if k == 0:
-                hold = _applied_setpoint(setpoints[0], modes[0], T, p.gamma)
-            r = hold
-        u = p.u_max if s == ON else 0.0
-        energy = energy + _energy_step(u, sc.building.dt_minutes)
-        trace.append(t, T, r, s, u, comfort_violation(T, p), energy)
-        s = relay_switch(s, T, r, p.gamma)
-        x, _ = simulate_pwa_step(system, x, [u], None, 0)
+            j = min(k, N - 1)
+            return _applied_setpoint(setpoints[j], modes[j], T, p.gamma)
+        return hold
+
+    trace = _closed_loop(sc, plan)
+    trace.solves = solves
     return trace
 
 

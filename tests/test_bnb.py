@@ -45,14 +45,6 @@ def test_root_bound_below_optimum():
     assert root <= res.objective + 1e-9
 
 
-def test_bound_history_is_monotone():
-    res = solve(knapsack())
-    hist = res.bound_history
-    assert hist
-    assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(hist, hist[1:]))
-    assert res.best_bound == pytest.approx(res.objective, abs=1e-9)
-
-
 def test_gap_closes_at_optimality():
     res = solve(knapsack())
     assert res.gap_percent == pytest.approx(0.0, abs=1e-9)
@@ -88,7 +80,7 @@ def test_determinism_identical_reruns():
     a = solve(prob)
     b = solve(prob)
     assert a.nodes_explored == b.nodes_explored
-    assert a.bound_history == b.bound_history
+    assert a.best_bound == b.best_bound
     np.testing.assert_array_equal(a.point, b.point)
 
 
@@ -136,3 +128,19 @@ def test_node_lps_certify_optimality(monkeypatch, variant):
     assert len(optimal) >= 10
     for r in optimal:
         assert abs(r.objective - r.dual_objective) <= 1e-8 * max(1.0, abs(r.objective))
+
+
+# exact results of two N=8 hull solves; the node-limited one stops with an
+# open node below the incumbent, the other closes the gap on a popped node
+@pytest.mark.parametrize("x0, node_limit, expected", [
+    ((21.14, 21.19, 20.27, 20.01), 8,
+     (SolveStatus.FEASIBLE_LIMIT, 9354.1999999994, 6124.04465246083, 8,
+      34.531604493583394)),
+    ((20.5, 20.8, 19.5, 20.1), None,
+     (SolveStatus.OPTIMAL, 9162.175611782222, 9162.175608972499, 37,
+      3.0666557039648395e-08)),
+])
+def test_exit_rule_pins(x0, node_limit, expected):
+    res = solve(build_thermostat_mpc(x0, OFF, 8), SolveOptions(node_limit=node_limit))
+    assert (res.status, res.objective, res.best_bound, res.nodes_explored,
+            res.gap_percent) == expected

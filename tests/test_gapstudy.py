@@ -41,6 +41,12 @@ def test_config_validation():
         GapStudyConfig(node_limit=0)
     with pytest.raises(ValueError):
         GapStudyConfig(x0_low=24.0, x0_high=20.0)
+    with pytest.raises(ValueError):
+        GapStudyConfig(x0_low=-5.0)
+    with pytest.raises(ValueError):
+        GapStudyConfig(x0_high=50.0)
+    with pytest.raises(ValueError):
+        GapStudyConfig(bigm=-1.0)
 
 
 def test_gap_formula_and_floor():

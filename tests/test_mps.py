@@ -215,6 +215,33 @@ def test_reader_rejects_duplicate_row():
     with pytest.raises(ValueError, match="duplicate row 'R1'"):
         read_mps(io.StringIO(text))
 
+
+ONE_ROW = "NAME X\n{head}ROWS\n N  COST\n L  R1\n{ranges}ENDATA\n"
+
+
+@pytest.mark.parametrize("head", ["OBJSENSE MAX\n", "OBJSENSE MAXIMIZE\n",
+                                  "OBJSENSE\n    MAX\n"],
+                         ids=["max", "maximize", "two_line"])
+def test_reader_rejects_maximization(head):
+    with pytest.raises(ValueError, match="only minimization"):
+        read_mps(io.StringIO(ONE_ROW.format(head=head, ranges="")))
+
+
+def test_reader_reads_one_line_minimization():
+    back = read_mps(io.StringIO(ONE_ROW.format(head="OBJSENSE MIN\n", ranges="")))
+    assert back.row_labels == ["R1"]
+
+
+def test_reader_rejects_range_for_unknown_row():
+    ranges = "RANGES\n    RNG       R2        1\n"
+    with pytest.raises(ValueError, match="range for unknown row 'R2'"):
+        read_mps(io.StringIO(ONE_ROW.format(head="", ranges=ranges)))
+    # ranges on the objective row are dropped, as before
+    ranges = "RANGES\n    RNG       COST      1\n"
+    back = read_mps(io.StringIO(ONE_ROW.format(head="", ranges=ranges)))
+    assert back.row_labels == ["R1"]
+
+
 # sha256 of A.tobytes() and of the export_mps text for the N=5 thermostat
 # model at x0=(20.5, 20.8, 19.5, 20.1), relay ON. Recorded before the
 # lowerings and the writer moved to triplet assembly; a refactor that

@@ -1,8 +1,11 @@
 """Closed-loop simulation: RTC baseline, D-MPC loop, trace I/O, auditor."""
 
 import hashlib
+import importlib.util
 import io
 import math
+import pathlib
+import sys
 
 import pytest
 
@@ -24,6 +27,10 @@ def _csv_text(trace) -> str:
     buf = io.StringIO()
     write_trace_csv(trace, buf)
     return buf.getvalue()
+
+
+def _sha(trace) -> str:
+    return hashlib.sha256(_csv_text(trace).encode()).hexdigest()
 
 
 def test_trace_header_contract():
@@ -58,6 +65,9 @@ def test_rtc_default_day_cycles():
     assert 0.0 < trace.energy_kwh < 8.0
     assert len(set(trace.s)) == 2  # the relay actually switches
     assert audit_trace(trace, trace_gamma()) == []
+    assert _sha(trace) == (
+        "4b85eff2dfd58b13c2654b36f7ff0d4a891e07424ba330738f8b6b8cdd15bb58"
+    )
 
 
 def trace_gamma() -> float:
@@ -145,6 +155,9 @@ def test_apply_sequence_path_runs_and_audits():
     assert len(trace.t) == 12
     assert len(trace.solves) == 4
     assert audit_trace(trace, sc.params.gamma) == []
+    assert _sha(trace) == (
+        "38439079ba48e7181e96190af134fa775420cca1fab4e374cba636de0106ec06"
+    )
 
 
 # sha256 of the trace CSV below; a change that leaves the pivot order and
@@ -160,6 +173,37 @@ def test_dmpc_determinism():
     b = _csv_text(simulate_dmpc(sc, N=4, M=2))
     assert a == b
     assert hashlib.sha256(a.encode()).hexdigest() == DMPC_TRACE_SHA256
+
+
+# big-M D-MPC trace CSV sha256, pinned like DMPC_TRACE_SHA256 above
+BIGM_TRACE_SHA256 = (
+    "b080faf0e0a5ac01df02f70194a3669e484b0444ae6e030e60ba345046ddb387"
+)
+
+
+def test_bigm_dmpc_trace_pin():
+    trace = simulate_dmpc(Scenario(x0=(20.5,) * 4, periods=10), N=4, M=2,
+                          variant="bigm")
+    assert _sha(trace) == BIGM_TRACE_SHA256
+
+
+def test_energy_comparison_script_short_run(tmp_path, monkeypatch, capsys):
+    # the relay never heats in 6 periods, so ratios over RTC have no value
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_energy_comparison.py"
+    spec = importlib.util.spec_from_file_location("run_energy_comparison", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "--periods", "6", "--N", "3",
+                                      "--outdir", str(tmp_path)])
+    assert script.main() == 0
+    assert "ratio M=1 / RTC:  n/a" in capsys.readouterr().out
+    traces = sorted(tmp_path.glob("trace_*.csv"))
+    assert [p.name for p in traces] == ["trace_dmpc_m1.csv", "trace_dmpc_m20.csv",
+                                        "trace_dmpc_m20_hold.csv", "trace_rtc.csv"]
+    for p in traces:
+        rows = read_trace_rows(str(p))
+        assert len(rows) == 6
+        assert audit_rows(rows, trace_gamma()) == []
 
 
 def test_solve_records_shape():
