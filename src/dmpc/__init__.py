@@ -23,7 +23,6 @@ from .gdp import (
     Disjunction,
     GdpModel,
     LinConstraint,
-    VarRef,
     Variable,
     brute_force_solve,
     evaluate_assignment,
@@ -83,7 +82,6 @@ __all__ = [
     "SolveResult",
     "SolveStatus",
     "ThermostatParams",
-    "VarRef",
     "Variable",
     "audit_rows",
     "audit_trace",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import text_file
 from .bnb import SolveOptions, SolveStatus, solve
 from .simplex import SimplexEngine
 from .thermostat import OFF, TEMP_MAX, TEMP_MIN, ThermostatParams, build_thermostat_mpc
@@ -214,9 +215,5 @@ def run_gap_study(config: GapStudyConfig | None = None) -> dict:
 
 
 def write_report(report: dict, destination) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if isinstance(destination, (str, bytes)):
-        with open(destination, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        destination.write(text + "\n")
+    with text_file(destination, "w") as fh:
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ import numpy as np
 from .milp import MilpProblem, Relation
 
 __all__ = [
-    "VarRef",
     "AffineExpr",
     "LinConstraint",
     "Disjunct",
@@ -46,17 +46,11 @@ FEAS_TOL = 1e-7
 
 
 @dataclass(frozen=True)
-class VarRef:
-    """Ordinal reference into a model's continuous-variable table."""
-
-    index: int
-
-
-@dataclass(frozen=True)
 class AffineExpr:
     """Affine expression ``sum(coef * var) + constant``.
 
-    Terms are stored pre-merged: a variable appears at most once.
+    ``terms`` holds ``(variable index, coefficient)`` pairs, pre-merged:
+    a variable appears at most once.
     """
 
     terms: tuple
@@ -64,30 +58,29 @@ class AffineExpr:
 
     @staticmethod
     def of(coeffs: dict, constant: float = 0.0) -> "AffineExpr":
-        """Build from ``{variable index or VarRef: coefficient}``, dropping zeros."""
-        flat = {
-            (i.index if isinstance(i, VarRef) else int(i)): float(c)
-            for i, c in coeffs.items()
-        }
-        terms = tuple(
-            (VarRef(i), c) for i, c in sorted(flat.items()) if c != 0.0
-        )
+        """Build from ``{variable index: coefficient}``, dropping zeros.
+
+        An index must be an integer: ``int`` would truncate 2.5 onto 2 and
+        merge two keys into one.
+        """
+        flat = {operator.index(i): float(c) for i, c in coeffs.items()}
+        terms = tuple((i, c) for i, c in sorted(flat.items()) if c != 0.0)
         return AffineExpr(terms, float(constant))
 
     def evaluate(self, point) -> float:
-        return self.constant + sum(c * point[v.index] for v, c in self.terms)
+        return self.constant + sum(c * point[j] for j, c in self.terms)
 
     def to_dense(self, n: int) -> np.ndarray:
         row = np.zeros(n)
-        for v, c in self.terms:
-            row[v.index] += c
+        for j, c in self.terms:
+            row[j] += c
         return row
 
     def box_range(self, lb, ub) -> tuple:
         """Tight (min, max) of the expression over the variable box."""
         lo = hi = self.constant
-        for v, c in self.terms:
-            a, b = c * lb[v.index], c * ub[v.index]
+        for j, c in self.terms:
+            a, b = c * lb[j], c * ub[j]
             lo += min(a, b)
             hi += max(a, b)
         return lo, hi
@@ -173,14 +166,14 @@ class GdpModel:
 
 def _check_expr(expr: AffineExpr, n: int, where: str, out: list):
     seen = set()
-    for v, c in expr.terms:
-        if v.index < 0 or v.index >= n:
-            out.append(f"{where}: undeclared variable index {v.index} of {n}")
-        if v.index in seen:
-            out.append(f"{where}: variable index {v.index} appears twice")
-        seen.add(v.index)
+    for j, c in expr.terms:
+        if j < 0 or j >= n:
+            out.append(f"{where}: undeclared variable index {j} of {n}")
+        if j in seen:
+            out.append(f"{where}: variable index {j} appears twice")
+        seen.add(j)
         if not math.isfinite(c):
-            out.append(f"{where}: non-finite coefficient on index {v.index}")
+            out.append(f"{where}: non-finite coefficient on index {j}")
     if not math.isfinite(expr.constant):
         out.append(f"{where}: non-finite constant")
 

@@ -26,6 +26,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from ._files import text_file
 from .milp import MilpProblem, Relation
 
 __all__ = ["export_mps", "read_mps"]
@@ -125,12 +126,8 @@ def export_mps(problem: MilpProblem, destination) -> None:
 
     w("ENDATA\n")
 
-    text = out.getvalue()
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as fh:
-            fh.write(text)
+    with text_file(destination, "w") as fh:
+        fh.write(out.getvalue())
 
 
 def read_mps(source) -> MilpProblem:
@@ -148,11 +145,8 @@ def read_mps(source) -> MilpProblem:
     Coefficients are collected as (row, column, value) triplets and
     scattered once into the dense ``A``.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
+    with text_file(source) as fh:
+        lines = fh.read().splitlines()
 
     section = None
     obj_row = None

@@ -68,7 +68,7 @@ def _le_rows(con):
     """Normalize a constraint to a list of expressions meaning expr <= 0."""
     expr = con.expr
     neg = AffineExpr(
-        tuple((v, -c) for v, c in expr.terms), -expr.constant
+        tuple((j, -c) for j, c in expr.terms), -expr.constant
     )
     if con.relation == Relation.LE:
         return [expr]
@@ -132,7 +132,7 @@ def _lower(model: GdpModel, labels: list, ind_map: dict, lb, ub,
         row_labels.append(label)
 
     for k, con in enumerate(model.global_constraints):
-        coeffs = {v.index: c for v, c in con.expr.terms}
+        coeffs = dict(con.expr.terms)
         if con.relation == Relation.GE:
             emit({j: -c for j, c in coeffs.items()}, Relation.LE,
                  con.expr.constant, f"g[{k}]")
@@ -209,18 +209,17 @@ def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProble
                     if strategy.mode == "fixed":
                         M = strategy.M
                     else:
-                        for v, c in expr.terms:
+                        for j, c in expr.terms:
                             if c != 0.0 and not (
-                                math.isfinite(lb0[v.index])
-                                and math.isfinite(ub0[v.index])
+                                math.isfinite(lb0[j]) and math.isfinite(ub0[j])
                             ):
                                 raise ValueError(
                                     "from_bounds big-M needs finite bounds on "
-                                    f"variable {v.index}"
+                                    f"variable {j}"
                                 )
                         M = expr.box_range(lb0, ub0)[1]
                     # a.y + k <= M (1 - s)  ->  a.y + M s <= M - k
-                    coeffs = {v.index: c for v, c in expr.terms}
+                    coeffs = dict(expr.terms)
                     coeffs[s_col] = coeffs.get(s_col, 0.0) + M
                     yield (coeffs, Relation.LE, M - expr.constant,
                            f"bigm[{d},{i},{k}.{h}]")
@@ -251,10 +250,10 @@ def to_hull(model: GdpModel) -> MilpProblem:
     for d, dis in enumerate(model.disjunctions):
         scope = sorted(
             {
-                v.index
+                j
                 for dj in dis.disjuncts
                 for con in dj.local_constraints
-                for v, c in con.expr.terms
+                for j, c in con.expr.terms
                 if c != 0.0
             }
         )
@@ -284,9 +283,7 @@ def to_hull(model: GdpModel) -> MilpProblem:
         for i, dj in enumerate(dis.disjuncts):
             s_col = ind_map[IndicatorRef(d, i)]
             for k, con in enumerate(dj.local_constraints):
-                coeffs = {
-                    copy_col[(d, i, v.index)]: c for v, c in con.expr.terms
-                }
+                coeffs = {copy_col[(d, i, j)]: c for j, c in con.expr.terms}
                 coeffs[s_col] = coeffs.get(s_col, 0.0) + con.expr.constant
                 if con.relation == Relation.LE:
                     yield coeffs, Relation.LE, 0.0, f"persp[{d},{i},{k}]"

@@ -6,9 +6,12 @@ Solves the continuous relaxation of a :class:`~dmpc.milp.MilpProblem`:
     subject to  A x (<=|==) b,   lb <= x <= ub
 
 The implementation is a two-phase primal simplex over the extended system
-``[A | I]`` with one logical column per row (slack for LE rows, fixed at
-zero for EQ rows) and one implicit artificial column per row for the
-phase-1 start.
+``K = [A | I | diag(s)]``, one sparse matrix: the structurals, then one
+logical column per row (slack for LE rows, fixed at zero for EQ rows),
+then one artificial column per row for the phase-1 start, whose sign
+``s_i`` each cold start sets to that of the row's initial residual.
+Columns, basis matrices, residuals ``b - K x`` and reduced costs
+``c - K^T y`` are all read off ``K``.
 
 The basis inverse is a sparse LU factorization of a recent basis ``B0``
 plus a product-form eta file, refactorized after at most ``ETA_MAX``
@@ -141,15 +144,14 @@ class SimplexEngine:
         self.problem = problem
         self.n = problem.n_vars
         self.m = problem.n_rows
-        # one sparse copy: pricing and residuals cost O(nnz), and
-        # long-horizon MPC matrices are far too empty to keep dense
-        self.A_csc = sp.csc_matrix(np.asarray(problem.A, dtype=float))
-        self.A_csc.eliminate_zeros()
-        self.AT_csr = self.A_csc.T  # a CSR view on the same arrays
-        # [A | I]: basis matrices are column slices of it
-        self.AI_csc = sp.hstack(
-            [self.A_csc, sp.identity(problem.n_rows, format="csc")], format="csc"
+        # K = [A | I | diag(s)], sparse: pricing and residuals cost O(nnz),
+        # and long-horizon MPC matrices are far too empty to keep dense
+        eye = sp.identity(self.m, format="csc")
+        self.K = sp.hstack(
+            [sp.csc_matrix(np.asarray(problem.A, dtype=float)), eye, eye],
+            format="csc",
         )
+        self.KT = self.K.T  # a CSR view on the same arrays
         self.b = np.asarray(problem.b, dtype=float).copy()
         self.obj_const = float(problem.obj_const)
         n, m = self.n, self.m
@@ -157,7 +159,6 @@ class SimplexEngine:
 
         self.c2 = np.zeros(self.nt)
         self.c2[:n] = problem.c
-        self.art_sign = np.ones(m)
 
         # each solve writes the structural bounds; logicals are slacks in
         # [0, inf) for LE rows and fixed at 0 for EQ rows
@@ -186,27 +187,14 @@ class SimplexEngine:
     # ---------------------------------------------------------------- setup
 
     def _column(self, j: int) -> np.ndarray:
-        n, m = self.n, self.m
-        col = np.zeros(m)
-        if j < n:
-            lo, hi = self.A_csc.indptr[j], self.A_csc.indptr[j + 1]
-            col[self.A_csc.indices[lo:hi]] = self.A_csc.data[lo:hi]
-        elif j < n + m:
-            col[j - n] = 1.0
-        else:
-            col[j - n - m] = self.art_sign[j - n - m]
+        K, col = self.K, np.zeros(self.m)
+        lo, hi = K.indptr[j], K.indptr[j + 1]
+        col[K.indices[lo:hi]] = K.data[lo:hi]
         return col
 
     def _refactor(self):
         """Rebuild the sparse LU of the current basis; clear the eta file."""
-        n, m, basis = self.n, self.m, self.basis
-        art = basis >= n + m
-        B = self.AI_csc[:, np.where(art, basis - m, basis)]
-        if np.any(art):
-            scale = np.ones(m)
-            scale[art] = self.art_sign[basis[art] - n - m]
-            B.data *= np.repeat(scale, np.diff(B.indptr))
-        self._lu = splu(B, permc_spec="COLAMD")
+        self._lu = splu(self.K[:, self.basis], permc_spec="COLAMD")
         self._k = 0
         self._fresh = True
 
@@ -241,9 +229,7 @@ class SimplexEngine:
         """x_B = B^-1 (b - N x_N) from scratch."""
         xx = self.x.copy()
         xx[self.basis] = 0.0
-        n, m = self.n, self.m
-        r = self.b - (self.A_csc @ xx[:n] + xx[n : n + m] + self.art_sign * xx[n + m :])
-        self.x[self.basis] = self._ftran(r)
+        self.x[self.basis] = self._ftran(self.b - self.K @ xx)
 
     def _reload(self):
         """Refactor the current basis, then recompute x_B from scratch."""
@@ -251,13 +237,7 @@ class SimplexEngine:
         self._recompute_basics()
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        n, m = self.n, self.m
-        y = self._btran(c[self.basis])
-        d = np.empty(self.nt)
-        d[:n] = c[:n] - self.AT_csr @ y
-        d[n : n + m] = c[n : n + m] - y
-        d[n + m :] = c[n + m :] - y * self.art_sign
-        return d
+        return c - self.KT @ self._btran(c[self.basis])
 
     # ---------------------------------------------------------- public API
 
@@ -323,8 +303,8 @@ class SimplexEngine:
         stat[~finite_lo & ~finite_hi] = _FREE
         x[~finite_lo & ~finite_hi] = 0.0
 
-        r = self.b - self.A_csc @ x[:n]
-        self.art_sign = np.where(r >= 0, 1.0, -1.0)
+        r = self.b - self.K @ x  # the artificials are still at zero
+        self.K.data[self.K.indptr[n + m] :] = np.where(r >= 0, 1.0, -1.0)
         arts = np.arange(n + m, n + 2 * m)
         x[arts] = np.abs(r)
         stat[arts] = _BASIC
@@ -517,7 +497,6 @@ class SimplexEngine:
 
     def _dual_solve(self):
         """Warm re-solve after bound edits; None means fall back to cold."""
-        n, m = self.n, self.m
         d = self._reduced_costs(self.c2) if self._fresh else self._refresh()
         if d is None:
             return None
@@ -583,13 +562,9 @@ class SimplexEngine:
                     return None
             leaving_low = v_lo[r] >= v_hi[r]
 
-            e = np.zeros(m)
+            e = np.zeros(self.m)
             e[r] = 1.0
-            rho = self._btran(e)
-            alpha = np.empty(self.nt)
-            alpha[:n] = self.AT_csr @ rho
-            alpha[n : n + m] = rho
-            alpha[n + m :] = rho * self.art_sign
+            alpha = self.KT @ self._btran(e)
 
             stat = self.vstat
             lo_nb = (stat == _AT_LOWER) & (self.ub > self.lb)
@@ -654,12 +629,7 @@ class SimplexEngine:
         return float(self.c2[: self.n] @ self.x[: self.n]) + self.obj_const
 
     def _verify(self) -> bool:
-        n, m = self.n, self.m
-        res = self.b - (
-            self.A_csc @ self.x[:n]
-            + self.x[n : n + m]
-            + self.art_sign * self.x[n + m :]
-        )
+        res = self.b - self.K @ self.x
         if float(np.max(np.abs(res), initial=0.0)) > 1e-6:
             return False
         if float(np.max(self.lb - self.x, initial=0.0)) > 1e-6:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import text_file
 from .bnb import SolveOptions, SolveStatus, solve
 from .pwa import PwaRegime, PwaSystem, simulate_pwa_step
 from .reformulate import selection_from_point
@@ -236,9 +237,7 @@ def _cell(v) -> str:
 
 def write_trace_csv(trace: ClosedLoopTrace, destination) -> None:
     """CSV with shortest-round-trip floats, so audits survive the file."""
-    owns = isinstance(destination, (str, bytes))
-    fh = open(destination, "w", newline="") if owns else destination
-    try:
+    with text_file(destination, "w") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRACE_HEADER)
         for i in range(len(trace.t)):
@@ -252,16 +251,11 @@ def write_trace_csv(trace: ClosedLoopTrace, destination) -> None:
                 _cell(trace.slack[i]),
                 _cell(trace.energy_kwh_cum[i]),
             ])
-    finally:
-        if owns:
-            fh.close()
 
 
 def read_trace_rows(source) -> list:
     """Rows of a trace CSV as dicts with floats restored exactly."""
-    owns = isinstance(source, (str, bytes))
-    fh = open(source, newline="") if owns else source
-    try:
+    with text_file(source) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_HEADER:
             raise ValueError("unexpected trace header")
@@ -278,9 +272,6 @@ def read_trace_rows(source) -> list:
                 "energy_kwh_cum": float(rec["energy_kwh_cum"]),
             })
         return rows
-    finally:
-        if owns:
-            fh.close()
 
 
 def audit_rows(rows, gamma: float, dt_minutes: float = 0.25) -> list:

@@ -45,7 +45,6 @@ __all__ = [
     "ThermostatParams",
     "OperatingMode",
     "OPERATING_MODES",
-    "mode_of",
     "relay_switch",
     "ThermostatLayout",
     "build_thermostat_gdp",
@@ -115,27 +114,17 @@ class OperatingMode:
     id: int
     s_now: int
     s_next: int
-    heat_now: bool
-    heat_next: bool
     t_coef: float
     r_coef: float
     gamma_coef: float
 
 
 OPERATING_MODES = (
-    OperatingMode(1, ON, ON, True, True, 1.0, -1.0, -1.0),    # T <  r + g
-    OperatingMode(2, ON, OFF, True, False, -1.0, 1.0, 1.0),   # T >= r + g
-    OperatingMode(3, OFF, ON, False, True, 1.0, -1.0, 1.0),   # T <= r - g
-    OperatingMode(4, OFF, OFF, False, False, -1.0, 1.0, -1.0),  # T > r - g
+    OperatingMode(1, ON, ON, 1.0, -1.0, -1.0),    # T <  r + g
+    OperatingMode(2, ON, OFF, -1.0, 1.0, 1.0),    # T >= r + g
+    OperatingMode(3, OFF, ON, 1.0, -1.0, 1.0),    # T <= r - g
+    OperatingMode(4, OFF, OFF, -1.0, 1.0, -1.0),  # T > r - g
 )
-
-
-def mode_of(s_now: int, s_next: int) -> int:
-    """Mode id for a relay transition; (On,On)->1 ... (Off,Off)->4."""
-    for mode in OPERATING_MODES:
-        if mode.s_now == s_now and mode.s_next == s_next:
-            return mode.id
-    raise ValueError("relay states must be ON or OFF")
 
 
 def relay_switch(s: int, T: float, r: float, gamma: float) -> int:
@@ -168,10 +157,6 @@ class ThermostatLayout:
 
     def m_index(self, t: int) -> int:
         return 5 * (self.horizon + 1) + self.horizon + (t - 1)
-
-    @property
-    def n_vars(self) -> int:
-        return 7 * self.horizon + 5
 
 
 def build_thermostat_gdp(
@@ -239,14 +224,15 @@ def build_thermostat_gdp(
     for t in range(N):
         disjuncts = []
         for mode in OPERATING_MODES:
+            # the heater runs exactly when the relay is on
             rows = [
                 LinConstraint(AffineExpr.of(
                     {lay.u_index(t): 1.0},
-                    -(p.u_max if mode.heat_now else 0.0),
+                    -(p.u_max if mode.s_now == ON else 0.0),
                 ), Relation.EQ),
                 LinConstraint(AffineExpr.of(
                     {lay.u_index(t + 1): 1.0},
-                    -(p.u_max if mode.heat_next else 0.0),
+                    -(p.u_max if mode.s_next == ON else 0.0),
                 ), Relation.EQ),
                 LinConstraint(AffineExpr.of(
                     {lay.x_index(t, 3): mode.t_coef, lay.r_index(t): mode.r_coef},

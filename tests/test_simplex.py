@@ -1,5 +1,7 @@
 """LP engine against closed-form answers and the scipy oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import dmpc.simplex
+from dmpc.bnb import SolveOptions
+from dmpc.bnb import solve as bnb_solve
 from dmpc.milp import MilpProblem, Relation
 from dmpc.simplex import (
     Basis,
@@ -15,7 +19,7 @@ from dmpc.simplex import (
     check_point,
     solve_lp,
 )
-from dmpc.thermostat import OFF, build_thermostat_mpc
+from dmpc.thermostat import OFF, ON, build_thermostat_mpc
 
 
 def make_lp(c, A, relations, b, lb, ub):
@@ -235,3 +239,62 @@ def test_singular_refactor_in_dual_loop_falls_back_cold(monkeypatch):
     assert len(calls) >= 3  # the second call raised; the cold solve ran after it
     assert warm.status is LpStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+def random_lp_with_open_bounds(rng):
+    """A small LP whose columns may be free or unbounded on one side."""
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 7))
+    lb = np.round(-rng.uniform(0.0, 5.0, n), 2)
+    ub = np.round(rng.uniform(0.0, 5.0, n), 2)
+    kind = rng.choice(4, size=n, p=[0.7, 0.1, 0.1, 0.1])
+    lb[(kind == 1) | (kind == 3)] = -np.inf
+    ub[(kind == 2) | (kind == 3)] = np.inf
+    relations = rng.choice([int(Relation.LE), int(Relation.EQ)], size=m, p=[0.8, 0.2])
+    return make_lp(rng.standard_normal(n), rng.standard_normal((m, n)), relations,
+                   rng.standard_normal(m), lb, ub)
+
+
+# sha256 over every SimplexEngine.solve result of the runs below: 210 LPs of
+# node-limited B&B and 60 random LPs with 4 warm re-solves each. A change
+# that keeps every pivot keeps this digest.
+LP_RESULTS_SHA256 = "1d9d551a3defb3dd32a9c086bb3273de309a7032c4ddf510d10fffeed7ed849c"
+
+
+def test_lp_results_pin(monkeypatch):
+    results = []
+    real_solve = SimplexEngine.solve
+
+    def recording_solve(self, *args, **kwargs):
+        res = real_solve(self, *args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(SimplexEngine, "solve", recording_solve)
+    for N in (5, 10):
+        for variant in ("hull", "bigm"):
+            for s0 in (OFF, ON):
+                prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), s0, N,
+                                            variant=variant)
+                bnb_solve(prob, SolveOptions(node_limit=30))
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        lp = random_lp_with_open_bounds(rng)
+        eng = SimplexEngine(lp)
+        eng.solve(warm=False)
+        for _ in range(4):
+            lb, ub = lp.lb.copy(), lp.ub.copy()
+            j = int(rng.integers(lp.n_vars))
+            v = float(np.round(rng.uniform(-3.0, 3.0), 2))
+            if rng.random() < 0.5:
+                ub[j] = v
+            else:
+                lb[j] = v
+            eng.solve(lb=lb, ub=ub)
+    assert len(results) == 510
+    h = hashlib.sha256()
+    for r in results:
+        h.update(repr((r.status.value, r.objective, r.iterations,
+                       r.dual_objective)).encode())
+        h.update(b"" if r.point is None else r.point.tobytes())
+    assert h.hexdigest() == LP_RESULTS_SHA256

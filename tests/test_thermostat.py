@@ -15,7 +15,6 @@ from dmpc.thermostat import (
     build_thermostat_gdp,
     build_thermostat_mpc,
     default_building,
-    mode_of,
     relay_switch,
 )
 
@@ -41,21 +40,10 @@ def test_relay_infinite_band_never_switches():
 
 
 def test_operating_modes_table():
-    assert len(OPERATING_MODES) == 4
-    by_id = {m.id: m for m in OPERATING_MODES}
-    assert by_id[1].s_now == ON and by_id[1].s_next == ON
-    assert by_id[2].s_now == ON and by_id[2].s_next == OFF
-    assert by_id[3].s_now == OFF and by_id[3].s_next == ON
-    assert by_id[4].s_now == OFF and by_id[4].s_next == OFF
-    # heating follows the relay state on both ends of the period
-    assert by_id[1].heat_now and by_id[1].heat_next
-    assert by_id[2].heat_now and not by_id[2].heat_next
-    assert not by_id[4].heat_now and not by_id[4].heat_next
-
-
-def test_mode_of_inverts_the_table():
-    for m in OPERATING_MODES:
-        assert mode_of(m.s_now, m.s_next) == m.id
+    # one mode per relay transition, (On,On)->1 ... (Off,Off)->4
+    assert [(m.id, m.s_now, m.s_next) for m in OPERATING_MODES] == [
+        (1, ON, ON), (2, ON, OFF), (3, OFF, ON), (4, OFF, OFF)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
