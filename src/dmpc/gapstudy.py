@@ -4,7 +4,7 @@ For a batch of sampled initial states and each horizon, both
 reformulations are solved under the study node limit for their
 incumbents, and the instance's optimum z* is established either by a
 node-limited run that closed or by a dedicated hull solve under a
-larger node cap. The recorded gap is 100*(incumbent - z*)/|z*|.
+larger node cap. The recorded gap is 100*(incumbent - z*)/max(|z*|, 1).
 Instances where a node-limited run ends without an incumbent, or whose
 reference solve does not close, are flagged and dropped from the means
 (paired: an instance is either compared under both formulations or not
@@ -83,7 +83,9 @@ GAP_FLOOR = 1e-6  # percent; below LP tolerance resolution, reported as zero
 
 
 def _gap_vs(z_tilde: float, z_star: float) -> float:
-    gap = max(0.0, 100.0 * (z_tilde - z_star) / max(abs(z_star), 1e-12))
+    # scaled like the agreement check in _run_instance: near z* = 0 the
+    # difference is absolute, so solver noise on a zero optimum stays noise
+    gap = max(0.0, 100.0 * (z_tilde - z_star) / max(abs(z_star), 1.0))
     return gap if gap >= GAP_FLOOR else 0.0
 
 

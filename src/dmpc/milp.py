@@ -14,7 +14,7 @@ negation. Integrality in this package always means binary (bounds inside
 [0, 1]).
 
 ``A`` is a dense ndarray even though the thermostat models are well under
-1% nonzero (the N=200 hull model is 8605 x 5405 with 21,010 nonzeros).
+1% nonzero (the N=200 hull model is 5405 x 3805 with 14,610 nonzeros).
 The producers (both reformulations and the MPS reader) assemble it from
 (row, column, value) triplets in one scatter, and the MPS writer walks it
 column by column through one CSC copy, so no step does work per zero

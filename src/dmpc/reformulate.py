@@ -10,9 +10,13 @@ They differ in how local constraints are gated:
 * convex hull: each disjunction gets disaggregated copies of the variables
   its local constraints touch, an aggregation row ``y = sum_i y_i``,
   exactly linearized perspective rows ``a . y_i + k s_i (<=|==) 0`` and
-  indicator-scaled bound rows ``l s_i <= y_i <= u s_i``. No division is
-  involved anywhere; for affine rows the perspective is plain coefficient
-  substitution.
+  indicator-scaled bound rows ``l s_i <= y_i <= u s_i``. For affine rows
+  the perspective is plain coefficient substitution. A variable that every
+  disjunct pins with its one row ``a y + k = 0`` gets no copies: its
+  aggregation row is ``y = sum_i c_i s_i`` with ``c_i = -k/a``, the hull of
+  that disjunction projected on ``y`` (Balas 1985), so the relaxation is
+  the same polytope in fewer columns. That quotient is the only division
+  in either lowering, and it is exact when ``a = 1``.
 
 The hull model's LP relaxation is never looser than the big-M model's,
 which is the property the branch-and-bound study quantifies.
@@ -21,6 +25,7 @@ which is the property the branch-and-bound study quantifies.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,14 +234,37 @@ def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProble
                   np.concatenate([ub0, np.ones(n_s)]), local_rows)
 
 
+def _pinned(dis) -> dict:
+    """Variables that every disjunct of ``dis`` pins, with their values.
+
+    Maps ``j`` to the per-disjunct values ``c_i = -k/a`` when each
+    disjunct names ``j`` in exactly one local row and that row is the
+    single-term equation ``a y_j + k = 0``.
+    """
+    per = []
+    for dj in dis.disjuncts:
+        named = Counter(j for con in dj.local_constraints for j, _ in con.expr.terms)
+        here = {}
+        for con in dj.local_constraints:
+            if con.relation == Relation.EQ and len(con.expr.terms) == 1:
+                (j, a), = con.expr.terms
+                if a != 0.0 and named[j] == 1:
+                    here[j] = -con.expr.constant / a
+        per.append(here)
+    return {j: [h[j] for h in per] for j in per[0] if all(j in h for h in per)}
+
+
 def to_hull(model: GdpModel) -> MilpProblem:
     """Convex-hull reformulation of a valid GDP model.
 
     Column order: the continuous variables, then per disjunction its
     binaries followed by the disaggregated copies of the variables that
-    appear in that disjunction's local constraints (disjunct-major, then
-    variable). A zero-valued side of a bound row collapses into the
-    disaggregated column's own bound instead of emitting a row.
+    appear in that disjunction's local constraints and are not pinned by
+    every disjunct (disjunct-major, then variable). A pinned variable's
+    aggregation row carries the pinned values on the binaries, and a
+    binary whose value lies outside the variable's box is fixed at 0. A
+    zero-valued side of a bound row collapses into the disaggregated
+    column's own bound instead of emitting a row.
     """
     _require_valid(model)
     n = model.n_vars
@@ -248,6 +276,7 @@ def to_hull(model: GdpModel) -> MilpProblem:
     lb, ub = list(lb0), list(ub0)
     scopes = []
     for d, dis in enumerate(model.disjunctions):
+        pinned = _pinned(dis)
         scope = sorted(
             {
                 j
@@ -257,32 +286,39 @@ def to_hull(model: GdpModel) -> MilpProblem:
                 if c != 0.0
             }
         )
-        scopes.append(scope)
+        copied = [j for j in scope if j not in pinned]
+        scopes.append((scope, pinned, copied))
         for i in range(len(dis.disjuncts)):
             ind_map[IndicatorRef(d, i)] = len(labels)
             labels.append(f"s[{d},{i}]")
             lb.append(0.0)
-            ub.append(1.0)
+            ub.append(0.0 if any(not lb0[j] <= cs[i] <= ub0[j]
+                                 for j, cs in pinned.items()) else 1.0)
         for i in range(len(dis.disjuncts)):
-            for j in scope:
+            for j in copied:
                 copy_col[(d, i, j)] = len(labels)
                 labels.append(f"{model.variables[j].name}@d{d}:{i}")
                 lb.append(min(lb0[j], 0.0))
                 ub.append(max(ub0[j], 0.0))
 
     def local_rows(d, dis):
-        scope = scopes[d]
+        scope, pinned, copied = scopes[d]
         L = len(dis.disjuncts)
-        # aggregation y = sum of copies
+        # aggregation y = sum of copies, or y = sum_i c_i s_i when pinned
         for j in scope:
             coeffs = {j: 1.0}
             for i in range(L):
-                coeffs[copy_col[(d, i, j)]] = -1.0
+                if j not in pinned:
+                    coeffs[copy_col[(d, i, j)]] = -1.0
+                elif pinned[j][i] != 0.0:
+                    coeffs[ind_map[IndicatorRef(d, i)]] = -pinned[j][i]
             yield coeffs, Relation.EQ, 0.0, f"agg[{d},{j}]"
         # perspective rows: affine gating by exact coefficient substitution
         for i, dj in enumerate(dis.disjuncts):
             s_col = ind_map[IndicatorRef(d, i)]
             for k, con in enumerate(dj.local_constraints):
+                if any(j in pinned for j, _ in con.expr.terms):
+                    continue  # the pinning row, folded into the aggregation
                 coeffs = {copy_col[(d, i, j)]: c for j, c in con.expr.terms}
                 coeffs[s_col] = coeffs.get(s_col, 0.0) + con.expr.constant
                 if con.relation == Relation.LE:
@@ -293,7 +329,7 @@ def to_hull(model: GdpModel) -> MilpProblem:
                 else:
                     yield coeffs, Relation.EQ, 0.0, f"persp[{d},{i},{k}]"
             # bound rows l s <= y_i <= u s; zero sides fold into the column
-            for j in scope:
+            for j in copied:
                 cc = copy_col[(d, i, j)]
                 lo, hi = lb0[j], ub0[j]
                 if lo != 0.0:

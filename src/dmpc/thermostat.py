@@ -15,7 +15,9 @@ state now and after the switch test:
 The MPC model keeps the building dynamics and comfort rows global and
 puts the relay logic into one four-disjunct disjunction per period; a
 mode pins both the current heat input and the next one, so consecutive
-periods chain through the shared u variable.
+periods chain through the shared u variable. Because every mode pins
+u[t] and u[t+1], the hull lowering writes each as a sum of u_max times the
+indicators of the modes that heat, with no disaggregated copies.
 """
 
 from __future__ import annotations

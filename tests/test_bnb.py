@@ -133,12 +133,12 @@ def test_node_lps_certify_optimality(monkeypatch, variant):
 # exact results of two N=8 hull solves; the node-limited one stops with an
 # open node below the incumbent, the other closes the gap on a popped node
 @pytest.mark.parametrize("x0, node_limit, expected", [
-    ((21.14, 21.19, 20.27, 20.01), 8,
-     (SolveStatus.FEASIBLE_LIMIT, 9354.1999999994, 6124.04465246083, 8,
-      34.531604493583394)),
+    ((21.14, 21.19, 20.27, 20.01), 16,
+     (SolveStatus.FEASIBLE_LIMIT, 8841.9791665831, 5867.550523883916, 16,
+      33.63985128963637)),
     ((20.5, 20.8, 19.5, 20.1), None,
-     (SolveStatus.OPTIMAL, 9162.175611782222, 9162.175608972499, 37,
-      3.0666557039648395e-08)),
+     (SolveStatus.OPTIMAL, 9162.175608963931, 9162.175608935308, 63,
+      3.12410703263462e-10)),
 ])
 def test_exit_rule_pins(x0, node_limit, expected):
     res = solve(build_thermostat_mpc(x0, OFF, 8), SolveOptions(node_limit=node_limit))

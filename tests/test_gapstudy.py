@@ -53,6 +53,9 @@ def test_gap_formula_and_floor():
     assert _gap_vs(1.1, 1.0) == pytest.approx(10.0)
     assert _gap_vs(0.9, 1.0) == 0.0  # incumbent below reference clamps
     assert _gap_vs(1.0 + 1e-16, 1.0) == 0.0  # dust under the floor
+    assert _gap_vs(11000.0, 10000.0) == pytest.approx(10.0)
+    # two solves of a zero optimum that agree within 5e-9 show no gap
+    assert _gap_vs(5.024e-9, 2.42e-12) == 0.0
     assert GAP_FLOOR < 1e-3
 
 
@@ -85,7 +88,7 @@ def test_node_starvation_rows_are_excluded_with_diagnostic():
 # sha256 of the tiny() report; a change that leaves the pivot order and
 # the study alone keeps it
 TINY_REPORT_SHA256 = (
-    "fd5a32248cb6d8104d6258cb71d91f05fe2403d6ff859288be2d9c4d7b5ef32c"
+    "b7875663fbcfd36772dbf6c9b075a38e9c28c1ae684b4f93626ac78c4af88334"
 )
 
 

@@ -243,12 +243,12 @@ def test_reader_rejects_range_for_unknown_row():
 
 
 # sha256 of A.tobytes() and of the export_mps text for the N=5 thermostat
-# model at x0=(20.5, 20.8, 19.5, 20.1), relay ON. Recorded before the
-# lowerings and the writer moved to triplet assembly; a refactor that
-# leaves the model alone keeps both.
+# model at x0=(20.5, 20.8, 19.5, 20.1), relay ON. The hull pair was
+# recorded when the pinned heat inputs lost their disaggregated copies; a
+# refactor that leaves the model alone keeps both.
 GOLDEN = {
-    "hull": ("af92f78e2b4eb3758aa531bde0f1d80276086d068515a888eee5ab9b6d7e3522",
-             "e08cc1ec9b010d4843429c468ad0fb40e311d0c8bd69fbd4d0e9f5557c71a3a2"),
+    "hull": ("01afea83c54c0ebdebda37e1589be82d80ff9b3defe26f9c3a9d17bc21fc3b88",
+             "79f6d0f930154da1d7df98406ce23593cf7f5f1deda64a9d3b70e4cea2eb9b01"),
     "bigm": ("39df73a76adf06db0f7aa789d39103c2b31a49f2c451ae8a1a215edad6488f0d",
              "a2edd4a28e8ce0ed0a4f152a1fd139221e3ed051e04b9b777e40739202d2affb"),
 }

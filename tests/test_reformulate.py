@@ -1,13 +1,23 @@
 """Big-M and hull reformulations against the brute-force oracle."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmpc.bnb import SolveStatus, relaxation_bound, solve
-from dmpc.gdp import brute_force_solve
+from dmpc.gdp import (
+    AffineExpr,
+    Disjunction,
+    LinConstraint,
+    Variable,
+    brute_force_solve,
+)
 from dmpc.instances import random_gdp
+from dmpc.milp import Relation
 from dmpc.reformulate import (
     BigMStrategy,
     cnf_to_linear,
@@ -16,6 +26,7 @@ from dmpc.reformulate import (
     to_bigm,
     to_hull,
 )
+from dmpc.thermostat import OFF, build_thermostat_mpc
 
 from conftest import two_box_model
 
@@ -102,3 +113,71 @@ def test_hull_disaggregated_point_recovers_selection():
     res = solve(prob)
     assert res.status is SolveStatus.OPTIMAL
     assert selection_from_point(prob, res.point) == (1,)
+
+
+def with_pinned_variable(model, rng, split: bool):
+    """``model`` plus a variable ``p`` that each disjunct of disjunction 0
+    pins by one row ``a p + k = 0``, some pins outside ``p``'s box.
+
+    ``split`` writes each pin as an LE row and a GE row instead, which the
+    hull lowering cannot fold, so it disaggregates ``p`` as it does any
+    other variable.
+    """
+    j = model.n_vars
+    lo = float(np.round(rng.uniform(-3.0, 0.0), 2))
+    hi = lo + float(np.round(rng.uniform(1.0, 4.0), 2))
+    dis = model.disjunctions[0]
+    disjuncts = []
+    for dj in dis.disjuncts:
+        a = float(rng.choice([1.0, -2.0, 0.5]))
+        pin = float(np.round(rng.uniform(lo - 1.0, hi + 1.0), 2))
+        expr = AffineExpr.of({j: a}, -a * pin)
+        rows = ((LinConstraint(expr, Relation.LE), LinConstraint(expr, Relation.GE))
+                if split else (LinConstraint(expr, Relation.EQ),))
+        disjuncts.append(dataclasses.replace(
+            dj, local_constraints=dj.local_constraints + rows))
+    # couple p to the model: it is priced and shares a global row with v0
+    w = float(np.round(rng.uniform(-1.0, 1.0), 2))
+    objective = dict(model.objective.terms)
+    objective[j] = float(np.round(rng.uniform(-2.0, 2.0), 2))
+    lb0 = model.variables[0].lb
+    coupling = LinConstraint(
+        AffineExpr.of({0: 1.0, j: w}, -(lb0 + abs(w) * max(abs(lo), abs(hi)))))
+    return dataclasses.replace(
+        model,
+        variables=model.variables + (Variable("p", lo, hi),),
+        objective=AffineExpr.of(objective, model.objective.constant),
+        global_constraints=model.global_constraints + (coupling,),
+        disjunctions=(Disjunction(tuple(disjuncts)),) + model.disjunctions[1:],
+    )
+
+
+def test_pinned_variable_hull_matches_disaggregated_hull():
+    out_of_box = 0
+    for seed in range(60):
+        model = random_gdp(np.random.default_rng(seed))
+        pinned = with_pinned_variable(model, np.random.default_rng([seed, 1]), False)
+        compact = to_hull(pinned)
+        full = to_hull(with_pinned_variable(model, np.random.default_rng([seed, 1]), True))
+        assert compact.n_vars < full.n_vars
+        out_of_box += int(np.sum(compact.ub[compact.is_int] == 0.0))
+        root, ref_root = relaxation_bound(compact), relaxation_bound(full)
+        if math.isfinite(ref_root):
+            assert abs(root - ref_root) <= 1e-9 * max(1.0, abs(ref_root))
+        else:
+            assert root == ref_root
+        ref = brute_force_solve(pinned)
+        res = solve(compact)
+        if ref.status is SolveStatus.INFEASIBLE:
+            assert res.status is SolveStatus.INFEASIBLE
+        else:
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.objective == pytest.approx(ref.objective, abs=1e-6)
+    assert out_of_box > 0  # some pins fell outside the box and fixed s_i = 0
+
+
+def test_thermostat_hull_has_no_heat_input_copies():
+    prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 10)
+    assert prob.A.shape == (275, 195)
+    assert not [label for label in prob.labels
+                if label.startswith("u[") and "@d" in label]

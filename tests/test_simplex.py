@@ -255,10 +255,15 @@ def random_lp_with_open_bounds(rng):
                    rng.standard_normal(m), lb, ub)
 
 
-# sha256 over every SimplexEngine.solve result of the runs below: 210 LPs of
-# node-limited B&B and 60 random LPs with 4 warm re-solves each. A change
-# that keeps every pivot keeps this digest.
-LP_RESULTS_SHA256 = "1d9d551a3defb3dd32a9c086bb3273de309a7032c4ddf510d10fffeed7ed849c"
+# (count, sha256) over the SimplexEngine.solve results of each group of runs
+# below: node-limited B&B on the hull models, the same on the big-M models,
+# and 60 random LPs with 4 warm re-solves each. A change that keeps every
+# pivot keeps each digest; a change to one lowering moves only its own.
+LP_RESULTS = {
+    "hull": (89, "b1e11bb1c4f42f6439a7c4e6a452dd25b77d1b7d3cc1ecfc2100e7180502420a"),
+    "bigm": (108, "b691562c1b0b021a0caf010c34461bb71c4ddc37c7f52be36118537fab46845b"),
+    "random": (300, "f9125fdda6abec413ac514512a9729822eb39ff56ad8c3dda0c6e1703f1095b1"),
+}
 
 
 def test_lp_results_pin(monkeypatch):
@@ -270,13 +275,25 @@ def test_lp_results_pin(monkeypatch):
         results.append(res)
         return res
 
+    def digest():
+        h = hashlib.sha256()
+        for r in results:
+            h.update(repr((r.status.value, r.objective, r.iterations,
+                           r.dual_objective)).encode())
+            h.update(b"" if r.point is None else r.point.tobytes())
+        out = (len(results), h.hexdigest())
+        results.clear()
+        return out
+
     monkeypatch.setattr(SimplexEngine, "solve", recording_solve)
-    for N in (5, 10):
-        for variant in ("hull", "bigm"):
+    got = {}
+    for variant in ("hull", "bigm"):
+        for N in (5, 10):
             for s0 in (OFF, ON):
                 prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), s0, N,
                                             variant=variant)
                 bnb_solve(prob, SolveOptions(node_limit=30))
+        got[variant] = digest()
     for seed in range(60):
         rng = np.random.default_rng(seed)
         lp = random_lp_with_open_bounds(rng)
@@ -291,10 +308,5 @@ def test_lp_results_pin(monkeypatch):
             else:
                 lb[j] = v
             eng.solve(lb=lb, ub=ub)
-    assert len(results) == 510
-    h = hashlib.sha256()
-    for r in results:
-        h.update(repr((r.status.value, r.objective, r.iterations,
-                       r.dual_objective)).encode())
-        h.update(b"" if r.point is None else r.point.tobytes())
-    assert h.hexdigest() == LP_RESULTS_SHA256
+    got["random"] = digest()
+    assert got == LP_RESULTS

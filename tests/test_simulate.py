@@ -156,14 +156,14 @@ def test_apply_sequence_path_runs_and_audits():
     assert len(trace.solves) == 4
     assert audit_trace(trace, sc.params.gamma) == []
     assert _sha(trace) == (
-        "38439079ba48e7181e96190af134fa775420cca1fab4e374cba636de0106ec06"
+        "2dfeb0df12288ca3c82a9511b4441e2e2e7721179c336863100449b280a44e4e"
     )
 
 
 # sha256 of the trace CSV below; a change that leaves the pivot order and
 # the plant alone keeps it
 DMPC_TRACE_SHA256 = (
-    "4de5ec121204f93e61930828df396bb65db074a0738b9182836d5160b596e1e4"
+    "b0ae1e325a6a49371c669cc77c04ad1f657d83e95f1156e501b3e7bf0116c5c2"
 )
 
 
