@@ -197,7 +197,11 @@ def _selftest_equivalence(count: int = 100, tol: float = 1e-6):
 
 
 def _selftest_tightness(models, tol: float = 1e-9, strict: float = 1e-6):
-    """Hull root never below big-M root; count strict improvements."""
+    """Hull root never below big-M root; count strict improvements.
+
+    ``tol`` is relative to ``max(1, |big-M root|)``: two equal bounds near
+    1e5 differ by float noise of about 1e-9.
+    """
     weaker = strict_count = comparable = 0
     strategy = BigMStrategy.fixed(1e4)
     for model in models:
@@ -209,7 +213,7 @@ def _selftest_tightness(models, tol: float = 1e-9, strict: float = 1e-6):
         if not (np.isfinite(hull_root) and np.isfinite(bigm_root)):
             continue
         comparable += 1
-        if hull_root < bigm_root - tol:
+        if hull_root < bigm_root - tol * max(1.0, abs(bigm_root)):
             weaker += 1
         elif hull_root > bigm_root + strict:
             strict_count += 1

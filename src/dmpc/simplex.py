@@ -33,6 +33,14 @@ drives warm re-solves after bound changes: bound edits never disturb dual
 feasibility of an optimal basis, which makes the engine cheap to reuse
 across branch-and-bound nodes and across perturbed MPC instances.
 
+Both loops keep an entering direction per column: +1 for a column at its
+lower bound with room above it, -1 for one at its upper bound, 0 for
+basic, fixed and free columns, which sit in a mask of their own. It is set
+once per loop and updated for the one or two columns each pivot or bound
+flip moves. Pricing is then one product of the direction with the reduced
+costs (primal) or the pivot row (dual), and the ratio tests run on the
+eligible columns (dual) or the blocking rows (primal) alone.
+
 All tie-breaking rules are deterministic (first maximum / lowest index),
 so identical inputs reproduce identical pivot sequences bit for bit.
 """
@@ -177,6 +185,10 @@ class SimplexEngine:
         self._P = np.empty(ETA_MAX, dtype=np.int64)
         self._L = np.empty(ETA_MAX * (ETA_MAX + 1) // 2)
         self._k = 0
+        # entering direction of each column, and the free ones (_set_dirs)
+        self._dir = np.zeros(self.nt)
+        self._free = np.zeros(self.nt, dtype=bool)
+        self._n_free = 0
         self._have_basis = False
         self._fresh = False
         self._iters = 0
@@ -231,10 +243,44 @@ class SimplexEngine:
         xx[self.basis] = 0.0
         self.x[self.basis] = self._ftran(self.b - self.K @ xx)
 
-    def _reload(self):
-        """Refactor the current basis, then recompute x_B from scratch."""
-        self._refactor()
+    def _reload(self) -> bool:
+        """Refactor the current basis, then recompute x_B from scratch.
+
+        False, with nothing recomputed, when the basis has gone singular.
+        """
+        try:
+            self._refactor()
+        except RuntimeError:
+            return False
         self._recompute_basics()
+        return True
+
+    def _set_dirs(self):
+        """Entering directions and the free mask, from status and bounds.
+
+        +1 for a column at its lower bound with room above it, -1 for a
+        column at its upper bound, 0 for basic, fixed and free columns.
+        """
+        stat = self.vstat
+        rise = (stat == _AT_LOWER) & (self.ub > self.lb)
+        self._dir = np.where(stat == _AT_UPPER, -1.0, rise.astype(float))
+        self._free = stat == _FREE
+        self._n_free = int(np.count_nonzero(self._free))
+
+    def _set_dir(self, j: int):
+        """:meth:`_set_dirs` for the one column ``j``, whose status moved.
+
+        Scalar code: it runs twice per pivot, where array indexing costs
+        more than the pricing it serves.
+        """
+        stat = self.vstat[j]
+        if stat == _AT_UPPER:
+            self._dir[j] = -1.0
+        else:
+            self._dir[j] = float(stat == _AT_LOWER and self.ub[j] > self.lb[j])
+        free = stat == _FREE
+        self._n_free += int(free) - int(self._free[j])
+        self._free[j] = free
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - self.KT @ self._btran(c[self.basis])
@@ -348,33 +394,29 @@ class SimplexEngine:
     def _primal_loop(self, c, phase_one: bool, stop_tol: float = 0.0) -> LpStatus:
         n, m = self.n, self.m
         movable = self.ub > self.lb  # fixed columns can never enter
+        self._set_dirs()
         while True:
             if self._iters >= MAX_ITER:
                 return LpStatus.ITERATION_LIMIT
-            if self._k >= ETA_MAX or not self._fresh:
-                self._reload()
+            if (self._k >= ETA_MAX or not self._fresh) and not self._reload():
+                return LpStatus.ITERATION_LIMIT  # singular basis: give up
             if phase_one and float(self.x[n + m :].sum()) <= stop_tol:
                 return LpStatus.OPTIMAL
 
             d = self._reduced_costs(c)
             stat = self.vstat
-            score = np.full(self.nt, -math.inf)
-            at_lo = stat == _AT_LOWER
-            at_hi = stat == _AT_UPPER
-            free = stat == _FREE
-            score[at_lo] = -d[at_lo]
-            score[at_hi] = d[at_hi]
-            score[free] = np.abs(d[free])
-            score[~movable] = -math.inf
-            score[stat == _BASIC] = -math.inf
+            # basic and fixed columns score 0, at either bound
+            score = -d * (self._dir * movable)
+            if self._n_free:
+                score[self._free] = np.abs(d[self._free])
 
             if self._bland:
-                elig = np.flatnonzero(score > FEAS_TOL)
+                elig = (score > FEAS_TOL).nonzero()[0]
                 if elig.size == 0:
                     return LpStatus.OPTIMAL
                 q = int(elig[0])
             else:
-                q = int(np.argmax(score))
+                q = int(score.argmax())
                 if score[q] <= FEAS_TOL:
                     return LpStatus.OPTIMAL
 
@@ -387,54 +429,49 @@ class SimplexEngine:
             if step is None:
                 if phase_one:
                     # numerically impossible; force a clean restart
-                    self._reload()
+                    if not self._reload():
+                        return LpStatus.ITERATION_LIMIT
                     continue
                 return LpStatus.UNBOUNDED
 
     def _ratio_and_pivot(self, q: int, t_dir: float, w: np.ndarray):
         """Bounded-variable Harris ratio test, then pivot or bound flip.
 
-        Two passes: blocking ratios relaxed by the feasibility tolerance
-        set the largest admissible step, and among rows whose true ratio
-        fits under it the largest pivot element wins. Returns the step
-        length, or None when the move is unbounded.
+        Two passes over the blocking rows, those whose basic moves by more
+        than ``PIVOT_TOL`` per unit step: ratios relaxed by the feasibility
+        tolerance set the largest admissible step, and among rows whose
+        true ratio fits under it the largest pivot element wins. Returns
+        the step length, or None when the move is unbounded.
         """
-        xB = self.x[self.basis]
-        lbB = self.lb[self.basis]
-        ubB = self.ub[self.basis]
         rates = t_dir * w
-
-        deltas = np.full(self.m, math.inf)
-        relaxed = np.full(self.m, math.inf)
-        blk_lo = rates > PIVOT_TOL
-        blk_hi = rates < -PIVOT_TOL
-        with np.errstate(invalid="ignore"):
-            deltas[blk_lo] = (xB[blk_lo] - lbB[blk_lo]) / rates[blk_lo]
-            deltas[blk_hi] = (xB[blk_hi] - ubB[blk_hi]) / rates[blk_hi]
-            relaxed[blk_lo] = (xB[blk_lo] - lbB[blk_lo] + FEAS_TOL) / rates[blk_lo]
-            relaxed[blk_hi] = (xB[blk_hi] - ubB[blk_hi] - FEAS_TOL) / rates[blk_hi]
-        deltas = np.maximum(deltas, 0.0)
-        np.nan_to_num(deltas, copy=False, nan=math.inf, posinf=math.inf)
-        np.nan_to_num(relaxed, copy=False, nan=math.inf, posinf=math.inf)
+        blk = (np.abs(rates) > PIVOT_TOL).nonzero()[0]
+        rb = rates[blk]
+        rows = self.basis[blk]
+        gap = self.x[rows] - np.where(rb > 0, self.lb[rows], self.ub[rows])
+        deltas = np.maximum(gap / rb, 0.0)
+        relaxed = (gap + np.copysign(FEAS_TOL, rb)) / rb
+        # a NaN ratio blocks nothing; -inf reads as the most negative float
+        deltas[np.isnan(deltas)] = math.inf
+        relaxed[np.isnan(relaxed)] = math.inf
+        relaxed[relaxed == -math.inf] = np.finfo(float).min
 
         own_range = self.ub[q] - self.lb[q]
-        theta_max = float(np.min(relaxed))
+        theta_max = float(relaxed.min(initial=math.inf))
         if not math.isfinite(min(theta_max, own_range)):
             return None
 
+        r, d_basic = -1, math.inf
         if self._bland:
-            d_true = float(np.min(deltas))
-            cand_idx = np.flatnonzero(deltas <= d_true)
-            if math.isfinite(d_true) and cand_idx.size:
-                r = int(cand_idx[np.argmin(self.basis[cand_idx])])
-                d_basic = float(deltas[r])
-            else:
-                r, d_basic = -1, math.inf
-        else:
-            cand = deltas <= theta_max
-            scores = np.where(cand, np.abs(rates), -1.0)
-            r = int(np.argmax(scores))
-            d_basic = float(deltas[r]) if scores[r] > 0 else math.inf
+            d_true = float(deltas.min(initial=math.inf))
+            if math.isfinite(d_true):
+                ties = (deltas <= d_true).nonzero()[0]
+                i = int(ties[rows[ties].argmin()])
+                r, d_basic = int(blk[i]), float(deltas[i])
+        elif blk.size:
+            scores = np.where(deltas <= theta_max, np.abs(rb), -1.0)
+            i = int(scores.argmax())
+            if scores[i] > 0:
+                r, d_basic = int(blk[i]), float(deltas[i])
 
         delta = min(d_basic, own_range)
         if not math.isfinite(delta):
@@ -445,13 +482,14 @@ class SimplexEngine:
         if own_range <= d_basic + 1e-12:
             # entering variable flips to its opposite bound; basis unchanged
             delta = own_range
-            self.x[self.basis] = xB - delta * rates
+            self.x[self.basis] -= delta * rates
             if self.vstat[q] == _AT_LOWER:
                 self.x[q] = self.ub[q]
                 self.vstat[q] = _AT_UPPER
             else:
                 self.x[q] = self.lb[q]
                 self.vstat[q] = _AT_LOWER
+            self._set_dir(q)
             self._iters += 1
             return delta
 
@@ -466,8 +504,8 @@ class SimplexEngine:
         ``to_lower``, else on its upper bound (free if that is infinite).
         """
         leave = int(self.basis[r])
-        self.x[self.basis] = self.x[self.basis] - step * w
-        self.x[q] = self.x[q] + step
+        self.x[self.basis] -= step * w
+        self.x[q] += step
         if to_lower:
             self.x[leave] = self.lb[leave]
             self.vstat[leave] = _AT_LOWER if self.lb[leave] > -math.inf else _FREE
@@ -476,8 +514,10 @@ class SimplexEngine:
             self.vstat[leave] = _AT_UPPER if self.ub[leave] < math.inf else _FREE
         self.basis[r] = q
         self.vstat[q] = _BASIC
+        self._set_dir(q)
+        self._set_dir(leave)
         self._push_eta(r, w)
-        if abs(w[r]) < 1e-5 * max(1.0, float(np.max(np.abs(w)))):
+        if abs(w[r]) < 1e-5 * max(1.0, float(np.abs(w).max())):
             self._fresh = False  # marginal pivot: refactor before trusting it
         self._iters += 1
 
@@ -489,9 +529,7 @@ class SimplexEngine:
         None when the basis has gone singular: the warm solve then falls
         back to a cold one instead of raising.
         """
-        try:
-            self._reload()
-        except RuntimeError:
+        if not self._reload():
             return None
         return self._reduced_costs(self.c2)
 
@@ -525,6 +563,8 @@ class SimplexEngine:
             self.vstat[hi_bad] = _AT_LOWER
             self.x[hi_bad] = self.lb[hi_bad]
         self._recompute_basics()
+        self._set_dirs()
+        lbB, ubB = self.lb[self.basis], self.ub[self.basis]
 
         # a healthy warm re-solve needs far fewer pivots than a cold run;
         # cap the budget by size and bail early when infeasibility stalls
@@ -544,15 +584,13 @@ class SimplexEngine:
                 d_exact = True
 
             xB = self.x[self.basis]
-            v_lo = self.lb[self.basis] - xB
-            v_hi = xB - self.ub[self.basis]
+            v_lo = lbB - xB
+            v_hi = xB - ubB
             viol = np.maximum(v_lo, v_hi)
-            r = int(np.argmax(viol)) if bland is False else int(
-                np.argmax(viol > FEAS_TOL)
-            )
+            r = int((viol > FEAS_TOL).argmax() if bland else viol.argmax())
             if viol[r] <= FEAS_TOL:
                 return self._optimal_result()
-            tot = float(np.sum(np.maximum(viol, 0.0)))
+            tot = float(np.maximum(viol, 0.0).sum())
             if tot < best_tot - 1e-9:
                 best_tot = tot
                 stall = 0
@@ -566,18 +604,13 @@ class SimplexEngine:
             e[r] = 1.0
             alpha = self.KT @ self._btran(e)
 
-            stat = self.vstat
-            lo_nb = (stat == _AT_LOWER) & (self.ub > self.lb)
-            hi_nb = stat == _AT_UPPER
             # an entering column must push row r back toward its bound
-            a_dir = -alpha if leaving_low else alpha
-            aa = np.abs(alpha)
-            elig = (
-                (lo_nb & (a_dir > PIVOT_TOL))
-                | (hi_nb & (a_dir < -PIVOT_TOL))
-                | ((stat == _FREE) & (aa > PIVOT_TOL))
-            )
-            if not np.any(elig):
+            moves = alpha * self._dir
+            elig = moves < -PIVOT_TOL if leaving_low else moves > PIVOT_TOL
+            if self._n_free:
+                elig |= self._free & (np.abs(alpha) > PIVOT_TOL)
+            cols = elig.nonzero()[0]
+            if not cols.size:
                 # only certify infeasibility from exact data
                 if self._k or not d_exact:
                     d = self._refresh()
@@ -587,18 +620,14 @@ class SimplexEngine:
                     continue
                 return LpResult(LpStatus.INFEASIBLE, None, None, self._iters)
 
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mag = np.where(lo_nb, d, np.where(hi_nb, -d, 0.0))
-                ratios = np.where(elig, np.maximum(mag, 0.0) / aa, math.inf)
-                relaxed = np.where(elig, (np.maximum(mag, 0.0) + FEAS_TOL) / aa,
-                                   math.inf)
             if bland:
-                q = int(np.flatnonzero(elig)[0])
+                q = int(cols[0])
             else:
                 # Harris: largest pivot among columns within the relaxed window
-                theta_max = float(np.min(relaxed))
-                pick = np.where(elig & (ratios <= theta_max), aa, -1.0)
-                q = int(np.argmax(pick))
+                aa = np.abs(alpha[cols])
+                mag = np.maximum(d[cols] * self._dir[cols], 0.0)
+                theta_max = ((mag + FEAS_TOL) / aa).min()
+                q = int(cols[np.where(mag / aa <= theta_max, aa, -1.0).argmax()])
 
             w = self._ftran(self._column(q))
             piv = float(w[r])
@@ -616,8 +645,9 @@ class SimplexEngine:
             leave = int(self.basis[r])
             bound_r = self.lb[leave] if leaving_low else self.ub[leave]
             self._pivot(r, q, w, (xB[r] - bound_r) / piv, leaving_low)
+            lbB[r], ubB[r] = self.lb[q], self.ub[q]
 
-            d = d - theta_d * alpha
+            d -= theta_d * alpha
             d[q] = 0.0
             d[leave] = -theta_d
             d_exact = False
@@ -640,8 +670,7 @@ class SimplexEngine:
 
     def _optimal_result(self) -> LpResult:
         if not self._verify():
-            self._reload()
-            if not self._verify():
+            if not (self._reload() and self._verify()):
                 if self._fb_depth >= 1:
                     # a cold restart already failed to verify; do not trust
                     # this point enough to call it optimal
@@ -652,11 +681,10 @@ class SimplexEngine:
                     return self._cold_solve()
                 finally:
                     self._fb_depth -= 1
-        d = self._reduced_costs(self.c2)
+        y = self._btran(self.c2[self.basis])
+        d = self.c2 - self.KT @ y
         nb = self.vstat != _BASIC
-        dual = float(
-            self._btran(self.c2[self.basis]) @ self.b + d[nb] @ self.x[nb]
-        ) + self.obj_const
+        dual = float(y @ self.b + d[nb] @ self.x[nb]) + self.obj_const
         obj = self._objective()
         return LpResult(
             LpStatus.OPTIMAL,

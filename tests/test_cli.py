@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from dmpc.cli import _read_config, _study_config, main
+from dmpc.cli import _read_config, _selftest_tightness, _study_config, main
 from dmpc.gapstudy import GapStudyConfig
+from dmpc.thermostat import OFF, build_thermostat_gdp
 
 
 def test_read_config_parses_and_normalizes(tmp_path):
@@ -138,3 +139,9 @@ def test_simulate_unknown_config_key_exits_1(tmp_path, capsys):
     assert "perods" in err
     assert "mode, periods, N, M, variant, bigm, apply_sequence" in err
     assert not out.exists()
+
+
+def test_selftest_tightness_is_relative_at_thermostat_scale():
+    # both roots sit near 1.89e5, the hull one 1.8e-9 below the big-M one
+    model = build_thermostat_gdp((22.39, 22.89, 22.23, 22.62), OFF, 30)
+    assert _selftest_tightness([model]) == (1, 0, 0)

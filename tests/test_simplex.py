@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import dmpc.simplex
-from dmpc.bnb import SolveOptions
+from dmpc.bnb import SolveOptions, SolveStatus
 from dmpc.bnb import solve as bnb_solve
 from dmpc.milp import MilpProblem, Relation
 from dmpc.simplex import (
@@ -241,6 +241,41 @@ def test_singular_refactor_in_dual_loop_falls_back_cold(monkeypatch):
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
+def test_singular_refactor_in_cold_loop_ends_at_iteration_limit(monkeypatch):
+    prob = thermostat_n3()
+    want = SimplexEngine(prob).solve(warm=False)
+    real_splu = dmpc.simplex.splu
+    calls = []
+
+    def flaky_splu(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(*args, **kwargs)
+
+    # the first call factors the artificial start; the second, forced by a
+    # short eta file, is the primal loop's own refactorization
+    monkeypatch.setattr(dmpc.simplex, "ETA_MAX", 2)
+    monkeypatch.setattr(dmpc.simplex, "splu", flaky_splu)
+    eng = SimplexEngine(prob)
+    assert eng.solve(warm=False).status is LpStatus.ITERATION_LIMIT
+    assert len(calls) == 2
+    again = eng.solve(warm=False)
+    assert again.status is LpStatus.OPTIMAL
+    assert again.objective == pytest.approx(want.objective, rel=1e-9)
+
+
+def test_singular_bland_pivot_in_cold_path_stops_bnb_cleanly(monkeypatch):
+    # Bland's ratio test takes a near-zero pivot here and the next
+    # refactorization finds the basis singular; the root LP gives up
+    monkeypatch.setattr(dmpc.simplex, "BLAND_AFTER", 3)
+    prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 5)
+    res = bnb_solve(prob, SolveOptions(node_limit=30))
+    assert res.status is SolveStatus.FEASIBLE_LIMIT
+    assert res.objective is None
+    assert res.nodes_explored == 1
+
+
 def random_lp_with_open_bounds(rng):
     """A small LP whose columns may be free or unbounded on one side."""
     n = int(rng.integers(2, 9))
@@ -310,3 +345,31 @@ def test_lp_results_pin(monkeypatch):
             eng.solve(lb=lb, ub=ub)
     got["random"] = digest()
     assert got == LP_RESULTS
+
+
+def test_lp_results_pin_under_bland(monkeypatch):
+    # the runs above never reach Bland's rule; here it switches on after
+    # three degenerate pivots and takes over 500 steps in the big-M runs
+    # (the hull root LPs end at the iteration limit, tested above)
+    monkeypatch.setattr(dmpc.simplex, "BLAND_AFTER", 3)
+    h = hashlib.sha256()
+    count = 0
+    real_solve = SimplexEngine.solve
+
+    def recording_solve(self, *args, **kwargs):
+        nonlocal count
+        r = real_solve(self, *args, **kwargs)
+        count += 1
+        h.update(repr((r.status.value, r.objective, r.iterations,
+                       r.dual_objective)).encode())
+        h.update(b"" if r.point is None else r.point.tobytes())
+        return r
+
+    monkeypatch.setattr(SimplexEngine, "solve", recording_solve)
+    for N in (5, 10):
+        for s0 in (OFF, ON):
+            prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), s0, N,
+                                        variant="bigm")
+            bnb_solve(prob, SolveOptions(node_limit=30))
+    assert (count, h.hexdigest()) == (
+        102, "782c6bc448207c03a46a378a8b75e7b7721e7d8db72db044c3d3f928afd28ca0")
