@@ -24,7 +24,7 @@ import numpy as np
 
 from .milp import MilpProblem
 from .mps import export_mps  # noqa: F401  (part of this module's surface)
-from .simplex import LpStatus, SimplexEngine
+from .simplex import LpStatus, SimplexEngine, solve_lp
 
 __all__ = [
     "SolveStatus",
@@ -86,14 +86,13 @@ def _gap_percent(objective, bound) -> float:
     return 100.0 * (objective - bound) / max(abs(objective), 1e-12)
 
 
-def relaxation_bound(problem: MilpProblem, engine: SimplexEngine | None = None) -> float:
+def relaxation_bound(problem: MilpProblem) -> float:
     """Optimal value of the LP relaxation.
 
     +inf if the relaxation is infeasible, -inf if it is unbounded or the
     iteration limit was hit before optimality.
     """
-    eng = engine or SimplexEngine(problem)
-    res = eng.solve(lb=problem.lb, ub=problem.ub, warm=engine is not None)
+    res = solve_lp(problem)
     if res.status == LpStatus.OPTIMAL:
         return res.objective
     if res.status == LpStatus.INFEASIBLE:

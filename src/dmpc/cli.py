@@ -10,9 +10,11 @@ Four subcommands:
 
 Every flag of ``simulate`` and every study field of ``gapstudy`` can also
 be supplied through ``--config FILE``, a plain ``key = value`` text file
-(``#`` starts a comment). Explicit flags win over config values. A
-config key that names no ``simulate`` flag, or no ``GapStudyConfig``
-field for ``gapstudy``, is an error.
+(``#`` starts a comment). Explicit flags win over config values, and
+each value is cast by the type of its setting's default (booleans take
+1/0, true/false, yes/no or on/off; tuples are comma-separated). A config
+key that names no ``simulate`` flag, or no ``GapStudyConfig`` field for
+``gapstudy``, is an error.
 
 Exit codes: 0 on success, 1 on a runtime failure or failed selftest,
 2 on bad flags (argparse convention).
@@ -67,45 +69,54 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _merge(args: argparse.Namespace, config: dict, name: str, cast,
-           default):
-    """Resolve one setting: explicit flag, else config entry, else default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in config:
-        return cast(config[name])
-    return default
+_SIMULATE_DEFAULTS = {"mode": "rtc", "periods": 480, "N": 10, "M": 1,
+                      "variant": "hull", "bigm": 1e4, "apply_sequence": False}
+_GAPSTUDY_DEFAULTS = {f.name: f.default
+                      for f in dataclasses.fields(GapStudyConfig)
+                      if f.default is not dataclasses.MISSING}
 
 
-_SIMULATE_KEYS = ("mode", "periods", "N", "M", "variant", "bigm",
-                  "apply_sequence")
+def _settings(config: dict, defaults: dict, command: str) -> dict:
+    """``defaults`` overlaid with the config entries, each cast by its
+    default's type: a bool through :func:`_as_bool`, a tuple split on
+    commas. A key that names no setting is an error."""
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {command} setting(s): {', '.join(unknown)}; "
+                         f"pick from {', '.join(defaults)}")
+    values = dict(defaults)
+    for name, raw in config.items():
+        default = defaults[name]
+        try:
+            if isinstance(default, bool):
+                values[name] = _as_bool(raw)
+            elif isinstance(default, tuple):
+                values[name] = tuple(type(default[0])(tok)
+                                     for tok in raw.split(",") if tok.strip())
+            else:
+                values[name] = type(default)(raw)
+        except ValueError as exc:
+            raise ValueError(f"{command} setting {name}: {exc}") from None
+    return values
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _read_config(args.config) if args.config else {}
-    unknown = sorted(set(config) - set(_SIMULATE_KEYS))
-    if unknown:
-        raise ValueError(f"unknown simulate setting(s): {', '.join(unknown)}; "
-                         f"pick from {', '.join(_SIMULATE_KEYS)}")
-    mode = _merge(args, config, "mode", str, "rtc")
+    cfg = _settings(config, _SIMULATE_DEFAULTS, "simulate")
+    # explicit flags win over config entries
+    cfg.update((k, getattr(args, k)) for k in _SIMULATE_DEFAULTS
+               if getattr(args, k) is not None)
+    mode = cfg["mode"]
     if mode not in ("rtc", "dmpc"):
         raise ValueError(f"unknown mode {mode!r}; pick rtc or dmpc")
-    periods = _merge(args, config, "periods", int, 480)
-    scenario = Scenario(periods=periods)
+    scenario = Scenario(periods=cfg["periods"])
 
     if mode == "rtc":
         trace = simulate_rtc(scenario)
     else:
-        trace = simulate_dmpc(
-            scenario,
-            N=_merge(args, config, "N", int, 10),
-            M=_merge(args, config, "M", int, 1),
-            variant=_merge(args, config, "variant", str, "hull"),
-            bigm=_merge(args, config, "bigm", float, 1e4),
-            apply_sequence=_merge(args, config, "apply_sequence",
-                                  _as_bool, False),
-        )
+        trace = simulate_dmpc(scenario, N=cfg["N"], M=cfg["M"],
+                              variant=cfg["variant"], bigm=cfg["bigm"],
+                              apply_sequence=cfg["apply_sequence"])
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -118,38 +129,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _study_config(config: dict, seed) -> GapStudyConfig:
-    """GapStudyConfig from config entries, each cast by its default's type.
-
-    ``seed`` (the --seed flag) wins over a config entry when given.
-    """
-    fields = {f.name: f.default for f in dataclasses.fields(GapStudyConfig)
-              if f.default is not dataclasses.MISSING}
-    unknown = sorted(set(config) - set(fields))
-    if unknown:
-        raise ValueError(f"unknown gapstudy setting(s): {', '.join(unknown)}; "
-                         f"pick from {', '.join(fields)}")
-    values = {}
-    for name, raw in config.items():
-        default = fields[name]
-        try:
-            if isinstance(default, tuple):
-                cast = type(default[0])
-                values[name] = tuple(cast(tok) for tok in raw.split(",")
-                                     if tok.strip())
-            else:
-                values[name] = type(default)(raw)
-        except ValueError as exc:
-            raise ValueError(f"gapstudy setting {name}: {exc}") from None
-    if seed is not None:
-        values["seed"] = seed
-    return GapStudyConfig(**values)
-
-
 def _cmd_gapstudy(args: argparse.Namespace) -> int:
     config = _read_config(args.config) if args.config else {}
-    cfg = _study_config(config, args.seed)
-    report = run_gap_study(cfg)
+    values = _settings(config, _GAPSTUDY_DEFAULTS, "gapstudy")
+    if args.seed is not None:
+        values["seed"] = args.seed
+    report = run_gap_study(GapStudyConfig(**values))
     if args.out:
         write_report(report, args.out)
     else:

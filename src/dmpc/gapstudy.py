@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import text_file
+# perfbench times plans by patching solve and build_thermostat_mpc in this
+# module, so the code here must keep calling both by these names
 from .bnb import SolveOptions, SolveStatus, solve
 from .simplex import SimplexEngine
 from .thermostat import OFF, TEMP_MAX, TEMP_MIN, ThermostatParams, build_thermostat_mpc

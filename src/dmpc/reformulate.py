@@ -113,16 +113,28 @@ def _require_valid(model: GdpModel):
         raise ValueError("invalid model: " + "; ".join(problems))
 
 
-def _lower(model: GdpModel, labels: list, ind_map: dict, lb, ub,
-           local_rows) -> MilpProblem:
-    """Scaffolding shared by both reformulations.
+def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
+    """Scaffolding shared by both reformulations; the one owner of columns.
 
-    Emits the global rows, then per disjunction the rows yielded by
-    ``local_rows(d, disjunction)`` followed by its exactly-one row, then
-    the CNF rows. Rows are collected as (row, column, value) triplets and
-    scattered once into the dense ``A``.
+    Columns are the model's variables, then per disjunction its indicators
+    ``s[d,i]`` in [0, 1] followed by any columns the lowering adds while
+    ``disjunction_rows(d, dis, s, column, ub)`` runs: ``s`` lists the
+    indicator columns, ``column(label, lo, hi)`` appends a column and
+    returns its index, and ``ub`` is the upper-bound list, open for fixing.
+    Rows are the global rows, then per disjunction the rows that generator
+    yields followed by its exactly-one row, then the CNF rows. They are
+    collected as (row, column, value) triplets and scattered once into the
+    dense ``A``.
     """
-    n_tot = len(labels)
+    labels = [v.name for v in model.variables]
+    lb, ub = map(list, model.bounds())
+
+    def column(label, lo, hi) -> int:
+        labels.append(label)
+        lb.append(lo)
+        ub.append(hi)
+        return len(labels) - 1
+
     tri_i, tri_j, tri_v = [], [], []
     rels, rhs, row_labels = [], [], []
 
@@ -145,19 +157,20 @@ def _lower(model: GdpModel, labels: list, ind_map: dict, lb, ub,
             rel = Relation.LE if con.relation == Relation.LE else Relation.EQ
             emit(coeffs, rel, -con.expr.constant, f"g[{k}]")
 
+    ind_map = {}
     for d, dis in enumerate(model.disjunctions):
-        for row in local_rows(d, dis):
+        s = [column(f"s[{d},{i}]", 0.0, 1.0) for i in range(len(dis.disjuncts))]
+        ind_map.update((IndicatorRef(d, i), col) for i, col in enumerate(s))
+        for row in disjunction_rows(d, dis, s, column, ub):
             emit(*row)
-        emit({ind_map[IndicatorRef(d, i)]: 1.0
-              for i in range(len(dis.disjuncts))},
-             Relation.EQ, 1.0, f"xor[{d}]")
+        emit(dict.fromkeys(s, 1.0), Relation.EQ, 1.0, f"xor[{d}]")
 
     for k, (coeffs, b) in enumerate(
         cnf_to_linear(model.propositions, ind_map)
     ):
         emit(coeffs, Relation.LE, b, f"cnf[{k}]")
 
-    n = model.n_vars
+    n, n_tot = model.n_vars, len(labels)
     c_vec = np.zeros(n_tot)
     c_vec[:n] = model.objective.to_dense(n)
     for d, dis in enumerate(model.disjunctions):
@@ -177,8 +190,8 @@ def _lower(model: GdpModel, labels: list, ind_map: dict, lb, ub,
         A=A,
         relations=np.array(rels, dtype=np.int8),
         b=np.array(rhs, dtype=float),
-        lb=lb,
-        ub=ub,
+        lb=np.array(lb, dtype=float),
+        ub=np.array(ub, dtype=float),
         is_int=is_int,
         labels=labels,
         row_labels=row_labels,
@@ -195,20 +208,10 @@ def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProble
     """
     _require_valid(model)
     strategy = strategy or BigMStrategy.from_bounds()
-    n = model.n_vars
     lb0, ub0 = model.bounds()
 
-    ind_map = {}
-    labels = [v.name for v in model.variables]
-    for d, dis in enumerate(model.disjunctions):
-        for i in range(len(dis.disjuncts)):
-            ind_map[IndicatorRef(d, i)] = len(labels)
-            labels.append(f"s[{d},{i}]")
-    n_s = len(labels) - n
-
-    def local_rows(d, dis):
+    def local_rows(d, dis, s, column, ub):
         for i, dj in enumerate(dis.disjuncts):
-            s_col = ind_map[IndicatorRef(d, i)]
             for k, con in enumerate(dj.local_constraints):
                 for h, expr in enumerate(_le_rows(con)):
                     if strategy.mode == "fixed":
@@ -225,13 +228,11 @@ def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProble
                         M = expr.box_range(lb0, ub0)[1]
                     # a.y + k <= M (1 - s)  ->  a.y + M s <= M - k
                     coeffs = dict(expr.terms)
-                    coeffs[s_col] = coeffs.get(s_col, 0.0) + M
+                    coeffs[s[i]] = coeffs.get(s[i], 0.0) + M
                     yield (coeffs, Relation.LE, M - expr.constant,
                            f"bigm[{d},{i},{k}.{h}]")
 
-    return _lower(model, labels, ind_map,
-                  np.concatenate([lb0, np.zeros(n_s)]),
-                  np.concatenate([ub0, np.ones(n_s)]), local_rows)
+    return _lower(model, local_rows)
 
 
 def _pinned(dis) -> dict:
@@ -267,15 +268,9 @@ def to_hull(model: GdpModel) -> MilpProblem:
     column's own bound instead of emitting a row.
     """
     _require_valid(model)
-    n = model.n_vars
     lb0, ub0 = model.bounds()
 
-    ind_map: dict = {}
-    copy_col: dict = {}  # (d, i, var) -> column
-    labels = [v.name for v in model.variables]
-    lb, ub = list(lb0), list(ub0)
-    scopes = []
-    for d, dis in enumerate(model.disjunctions):
+    def local_rows(d, dis, s, column, ub):
         pinned = _pinned(dis)
         scope = sorted(
             {
@@ -287,40 +282,31 @@ def to_hull(model: GdpModel) -> MilpProblem:
             }
         )
         copied = [j for j in scope if j not in pinned]
-        scopes.append((scope, pinned, copied))
-        for i in range(len(dis.disjuncts)):
-            ind_map[IndicatorRef(d, i)] = len(labels)
-            labels.append(f"s[{d},{i}]")
-            lb.append(0.0)
-            ub.append(0.0 if any(not lb0[j] <= cs[i] <= ub0[j]
-                                 for j, cs in pinned.items()) else 1.0)
-        for i in range(len(dis.disjuncts)):
-            for j in copied:
-                copy_col[(d, i, j)] = len(labels)
-                labels.append(f"{model.variables[j].name}@d{d}:{i}")
-                lb.append(min(lb0[j], 0.0))
-                ub.append(max(ub0[j], 0.0))
-
-    def local_rows(d, dis):
-        scope, pinned, copied = scopes[d]
         L = len(dis.disjuncts)
+        for i in range(L):
+            if any(not lb0[j] <= cs[i] <= ub0[j] for j, cs in pinned.items()):
+                ub[s[i]] = 0.0
+        copy = {
+            (i, j): column(f"{model.variables[j].name}@d{d}:{i}",
+                           min(lb0[j], 0.0), max(ub0[j], 0.0))
+            for i in range(L) for j in copied
+        }
         # aggregation y = sum of copies, or y = sum_i c_i s_i when pinned
         for j in scope:
             coeffs = {j: 1.0}
             for i in range(L):
                 if j not in pinned:
-                    coeffs[copy_col[(d, i, j)]] = -1.0
+                    coeffs[copy[(i, j)]] = -1.0
                 elif pinned[j][i] != 0.0:
-                    coeffs[ind_map[IndicatorRef(d, i)]] = -pinned[j][i]
+                    coeffs[s[i]] = -pinned[j][i]
             yield coeffs, Relation.EQ, 0.0, f"agg[{d},{j}]"
         # perspective rows: affine gating by exact coefficient substitution
         for i, dj in enumerate(dis.disjuncts):
-            s_col = ind_map[IndicatorRef(d, i)]
             for k, con in enumerate(dj.local_constraints):
                 if any(j in pinned for j, _ in con.expr.terms):
                     continue  # the pinning row, folded into the aggregation
-                coeffs = {copy_col[(d, i, j)]: c for j, c in con.expr.terms}
-                coeffs[s_col] = coeffs.get(s_col, 0.0) + con.expr.constant
+                coeffs = {copy[(i, j)]: c for j, c in con.expr.terms}
+                coeffs[s[i]] = coeffs.get(s[i], 0.0) + con.expr.constant
                 if con.relation == Relation.LE:
                     yield coeffs, Relation.LE, 0.0, f"persp[{d},{i},{k}]"
                 elif con.relation == Relation.GE:
@@ -330,17 +316,15 @@ def to_hull(model: GdpModel) -> MilpProblem:
                     yield coeffs, Relation.EQ, 0.0, f"persp[{d},{i},{k}]"
             # bound rows l s <= y_i <= u s; zero sides fold into the column
             for j in copied:
-                cc = copy_col[(d, i, j)]
                 lo, hi = lb0[j], ub0[j]
                 if lo != 0.0:
-                    yield ({s_col: lo, cc: -1.0}, Relation.LE, 0.0,
+                    yield ({s[i]: lo, copy[(i, j)]: -1.0}, Relation.LE, 0.0,
                            f"lbnd[{d},{i},{j}]")
                 if hi != 0.0:
-                    yield ({cc: 1.0, s_col: -hi}, Relation.LE, 0.0,
+                    yield ({copy[(i, j)]: 1.0, s[i]: -hi}, Relation.LE, 0.0,
                            f"ubnd[{d},{i},{j}]")
 
-    return _lower(model, labels, ind_map, np.array(lb, dtype=float),
-                  np.array(ub, dtype=float), local_rows)
+    return _lower(model, local_rows)
 
 
 def indicator_columns(problem: MilpProblem) -> dict:

@@ -347,7 +347,6 @@ class SimplexEngine:
         x[:] = np.where(finite_lo, lo, np.where(finite_hi, hi, 0.0))
         stat[~finite_lo & finite_hi] = _AT_UPPER
         stat[~finite_lo & ~finite_hi] = _FREE
-        x[~finite_lo & ~finite_hi] = 0.0
 
         r = self.b - self.K @ x  # the artificials are still at zero
         self.K.data[self.K.indptr[n + m] :] = np.where(r >= 0, 1.0, -1.0)
@@ -428,9 +427,8 @@ class SimplexEngine:
             step = self._ratio_and_pivot(q, t_dir, w)
             if step is None:
                 if phase_one:
-                    # numerically impossible; force a clean restart
-                    if not self._reload():
-                        return LpStatus.ITERATION_LIMIT
+                    # numerically impossible; restart from a clean refactor
+                    self._fresh = False
                     continue
                 return LpStatus.UNBOUNDED
 
@@ -538,30 +536,23 @@ class SimplexEngine:
         d = self._reduced_costs(self.c2) if self._fresh else self._refresh()
         if d is None:
             return None
-        # re-snap nonbasics onto their (possibly moved) bounds
-        at_lo = self.vstat == _AT_LOWER
-        at_hi = self.vstat == _AT_UPPER
-        if np.any(at_lo & ~np.isfinite(self.lb)) or np.any(
-            at_hi & ~np.isfinite(self.ub)
-        ):
-            return None
-        self.x[at_lo] = self.lb[at_lo]
-        self.x[at_hi] = self.ub[at_hi]
-
         # bound changes keep reduced costs intact, but a variable fixed in
         # one subtree and released in another can sit on the wrong bound
         # for its reduced cost; flipping it restores dual feasibility
+        stat = self.vstat
+        at_lo, at_hi = stat == _AT_LOWER, stat == _AT_UPPER
         lo_bad = at_lo & (d < -1e-6) & (self.ub > self.lb)
         hi_bad = at_hi & (d > 1e-6)
-        if np.any((lo_bad & ~np.isfinite(self.ub))
-                  | (hi_bad & ~np.isfinite(self.lb))):
+        # a nonbasic loaded at, or flipped toward, an infinite bound
+        if np.any(((at_lo | hi_bad) & ~np.isfinite(self.lb))
+                  | ((at_hi | lo_bad) & ~np.isfinite(self.ub))):
             return None
-        if np.any(lo_bad):
-            self.vstat[lo_bad] = _AT_UPPER
-            self.x[lo_bad] = self.ub[lo_bad]
-        if np.any(hi_bad):
-            self.vstat[hi_bad] = _AT_LOWER
-            self.x[hi_bad] = self.lb[hi_bad]
+        stat[lo_bad] = _AT_UPPER
+        stat[hi_bad] = _AT_LOWER
+        # re-snap nonbasics onto their (possibly moved) bounds
+        at_lo, at_hi = stat == _AT_LOWER, stat == _AT_UPPER
+        self.x[at_lo] = self.lb[at_lo]
+        self.x[at_hi] = self.ub[at_hi]
         self._recompute_basics()
         self._set_dirs()
         lbB, ubB = self.lb[self.basis], self.ub[self.basis]
@@ -573,15 +564,14 @@ class SimplexEngine:
         stall = 0
         deg_run = 0
         bland = False
-        d_exact = True  # d recomputed from a fresh factorization
         while True:
             if self._iters >= budget:
                 return None
+            # the one refactor site; d is exact while the eta file is empty
             if self._k >= ETA_MAX or not self._fresh:
                 d = self._refresh()
                 if d is None:
                     return None
-                d_exact = True
 
             xB = self.x[self.basis]
             v_lo = lbB - xB
@@ -612,11 +602,8 @@ class SimplexEngine:
             cols = elig.nonzero()[0]
             if not cols.size:
                 # only certify infeasibility from exact data
-                if self._k or not d_exact:
-                    d = self._refresh()
-                    if d is None:
-                        return None
-                    d_exact = True
+                if self._k:
+                    self._fresh = False
                     continue
                 return LpResult(LpStatus.INFEASIBLE, None, None, self._iters)
 
@@ -633,12 +620,9 @@ class SimplexEngine:
             piv = float(w[r])
             if abs(piv) < PIVOT_TOL or piv * alpha[q] <= 0.0:
                 # BTRAN row and FTRAN column disagree: etas went stale
-                if not self._k and d_exact:
+                if not self._k:
                     return None  # inconsistent even when fresh; go cold
-                d = self._refresh()
-                if d is None:
-                    return None
-                d_exact = True
+                self._fresh = False
                 continue
 
             theta_d = d[q] / piv
@@ -650,7 +634,6 @@ class SimplexEngine:
             d -= theta_d * alpha
             d[q] = 0.0
             d[leave] = -theta_d
-            d_exact = False
             deg_run, bland = _degeneracy(abs(theta_d), deg_run, bland)
 
     # -------------------------------------------------------------- results
@@ -675,7 +658,6 @@ class SimplexEngine:
                     # a cold restart already failed to verify; do not trust
                     # this point enough to call it optimal
                     return self._limit_result()
-                self._have_basis = False
                 self._fb_depth += 1
                 try:
                     return self._cold_solve()
@@ -703,18 +685,9 @@ class SimplexEngine:
         )
 
 
-def solve_lp(problem: MilpProblem, warm_start: Basis | None = None) -> LpResult:
-    """One-shot LP solve of the problem's continuous relaxation.
+def solve_lp(problem: MilpProblem) -> LpResult:
+    """One-shot cold solve of the problem's continuous relaxation.
 
-    Parameters
-    ----------
-    problem : MilpProblem
-        Integrality flags are ignored.
-    warm_start : Basis, optional
-        Basis snapshot from a previous engine; the solve then starts dual.
+    Integrality flags are ignored.
     """
-    engine = SimplexEngine(problem)
-    if warm_start is not None:
-        engine.load_basis(warm_start)
-        return engine.solve(warm=True)
-    return engine.solve(warm=False)
+    return SimplexEngine(problem).solve(warm=False)

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import text_file
+# perfbench times plans by patching solve and build_thermostat_mpc in this
+# module, so the code here must keep calling both by these names
 from .bnb import SolveOptions, SolveStatus, solve
 from .pwa import PwaRegime, PwaSystem, simulate_pwa_step
 from .reformulate import selection_from_point

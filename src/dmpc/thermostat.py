@@ -204,14 +204,9 @@ def build_thermostat_gdp(
     globals_rows = []
     for t in range(N):
         for l in range(4):
-            coeffs = {lay.x_index(t + 1, l): 1.0}
-            for j in range(4):
-                if A[l, j] != 0.0:
-                    coeffs[lay.x_index(t, j)] = coeffs.get(
-                        lay.x_index(t, j), 0.0
-                    ) - A[l, j]
-            if B[l] != 0.0:
-                coeffs[lay.u_index(t)] = -B[l]
+            coeffs = {lay.x_index(t, j): -A[l, j] for j in range(4)}
+            coeffs[lay.x_index(t + 1, l)] = 1.0
+            coeffs[lay.u_index(t)] = -B[l]
             globals_rows.append(LinConstraint(AffineExpr.of(coeffs), Relation.EQ))
     for t in range(1, N + 1):
         # comfort band |T_t - T_set| <= theta + m_t

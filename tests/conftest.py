@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+from scipy.optimize import linprog
 
 from dmpc.gdp import (
     AffineExpr,
@@ -10,7 +11,7 @@ from dmpc.gdp import (
     LinConstraint,
     Variable,
 )
-from dmpc.milp import MilpProblem
+from dmpc.milp import MilpProblem, Relation
 
 
 def make_milp(c, A, relations, b, lb, ub, is_int):
@@ -25,6 +26,22 @@ def make_milp(c, A, relations, b, lb, ub, is_int):
         ub=np.asarray(ub, dtype=float),
         is_int=np.asarray(is_int, dtype=bool),
     )
+
+
+def scipy_reference(problem):
+    """Solve the same LP with scipy.optimize.linprog (HiGHS)."""
+    le = problem.relations == Relation.LE
+    eq = problem.relations == Relation.EQ
+    res = linprog(
+        problem.c,
+        A_ub=problem.A[le] if le.any() else None,
+        b_ub=problem.b[le] if le.any() else None,
+        A_eq=problem.A[eq] if eq.any() else None,
+        b_eq=problem.b[eq] if eq.any() else None,
+        bounds=list(zip(problem.lb, problem.ub)),
+        method="highs",
+    )
+    return res
 
 
 def two_box_model(costs=(1.0, 3.0), extra_global=()):

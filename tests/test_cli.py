@@ -1,10 +1,18 @@
 """Command-line interface, exercised in-process through main()."""
 
+import functools
 import json
 
 import pytest
 
-from dmpc.cli import _read_config, _selftest_tightness, _study_config, main
+import dmpc.cli
+from dmpc.cli import (
+    _GAPSTUDY_DEFAULTS,
+    _read_config,
+    _selftest_tightness,
+    _settings,
+    main,
+)
 from dmpc.gapstudy import GapStudyConfig
 from dmpc.thermostat import OFF, build_thermostat_gdp
 
@@ -94,7 +102,8 @@ def test_export_writes_mps(tmp_path):
 
 def test_gapstudy_with_config(tmp_path):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("instance-count = 1\nhorizons = 30\nnode-limit = 1\n")
+    cfg.write_text("instance-count = 1\nhorizons = 30\nnode-limit = 1\n"
+                   "seed = 4\n")
     out = tmp_path / "report.json"
     assert main(["gapstudy", "--config", str(cfg), "--seed", "5",
                  "--out", str(out)]) == 0
@@ -105,18 +114,18 @@ def test_gapstudy_with_config(tmp_path):
 
 
 def test_gapstudy_config_casts_every_field():
-    cfg = _study_config({
+    cfg = GapStudyConfig(**_settings({
         "instance_count": "3", "horizons": "30, 60", "node_limit": "7",
         "seed": "4", "x0_low": "20", "x0_high": "22.5", "s0": "1",
         "bigm": "500", "optimality_node_cap": "90",
-    }, None)
+    }, _GAPSTUDY_DEFAULTS, "gapstudy"))
     assert cfg == GapStudyConfig(instance_count=3, horizons=(30, 60),
                                  node_limit=7, seed=4, x0_low=20.0,
                                  x0_high=22.5, s0=1, bigm=500.0,
                                  optimality_node_cap=90)
     assert type(cfg.x0_low) is float and type(cfg.node_limit) is int
-    assert _study_config({}, None) == GapStudyConfig()
-    assert _study_config({"seed": "4"}, 9).seed == 9
+    assert (GapStudyConfig(**_settings({}, _GAPSTUDY_DEFAULTS, "gapstudy"))
+            == GapStudyConfig())
 
 
 def test_gapstudy_unknown_config_key_exits_1(tmp_path, capsys):
@@ -145,3 +154,40 @@ def test_selftest_tightness_is_relative_at_thermostat_scale():
     # both roots sit near 1.89e5, the hull one 1.8e-9 below the big-M one
     model = build_thermostat_gdp((22.39, 22.89, 22.23, 22.62), OFF, 30)
     assert _selftest_tightness([model]) == (1, 0, 0)
+
+
+def test_config_apply_sequence_matches_flag(tmp_path):
+    base = "mode = dmpc\nN = 4\nM = 3\nperiods = 12\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(base + "apply_sequence = yes\n")
+    hold = tmp_path / "hold.cfg"
+    hold.write_text(base)
+    outs = [tmp_path / f"{k}.csv" for k in "abc"]
+    assert main(["simulate", "--config", str(cfg), "--out", str(outs[0])]) == 0
+    assert main(["simulate", "--mode", "dmpc", "--N", "4", "--M", "3",
+                 "--periods", "12", "--apply-sequence",
+                 "--out", str(outs[1])]) == 0
+    assert main(["simulate", "--config", str(hold), "--out", str(outs[2])]) == 0
+    a, b, c = (p.read_text() for p in outs)
+    assert a == b
+    assert a != c  # playing out the plan moves the setpoints
+
+
+def test_config_bad_boolean_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = dmpc\napply_sequence = maybe\n")
+    out = tmp_path / "t.csv"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "apply_sequence" in err and "maybe" in err
+    assert not out.exists()
+
+
+def test_selftest_smoke(monkeypatch, capsys):
+    monkeypatch.setattr(dmpc.cli, "_selftest_equivalence", functools.partial(
+        dmpc.cli._selftest_equivalence, count=10))
+    assert main(["selftest"]) == 0
+    out = capsys.readouterr().out
+    assert "equivalence: 16 models, 0 mismatches" in out
+    assert out.rstrip().endswith("selftest PASS")

@@ -1,12 +1,15 @@
 """Gap study plumbing on tiny configurations (the full run lives in
 test_acceptance)."""
 
+import dataclasses
 import hashlib
 import io
 import json
 
 import pytest
 
+import dmpc.gapstudy
+from dmpc.bnb import SolveStatus
 from dmpc.gapstudy import (
     GAP_FLOOR,
     GapStudyConfig,
@@ -112,3 +115,38 @@ def test_report_file_round_trip(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == json.loads(report_bytes(report))
+
+
+def _downgrade(monkeypatch, node_limits):
+    """Report every closed solve under one of ``node_limits`` as stopped at
+    its limit with the same incumbent, so the study cannot take z* from it."""
+    real = dmpc.gapstudy.solve
+
+    def solve(problem, options=None, engine=None):
+        res = real(problem, options, engine=engine)
+        if res.status is SolveStatus.OPTIMAL and options.node_limit in node_limits:
+            res = dataclasses.replace(res, status=SolveStatus.FEASIBLE_LIMIT)
+        return res
+
+    monkeypatch.setattr(dmpc.gapstudy, "solve", solve)
+
+
+def test_reference_solve_sets_z_star_when_no_limited_run_closes(monkeypatch):
+    config = GapStudyConfig(instance_count=2, horizons=(30,), seed=0)
+    _downgrade(monkeypatch, {config.node_limit})
+    row = run_gap_study(config)["instances"][1]
+    assert not row["excluded"], row["reason"]
+    assert row["z_star_source"] == "reference solve"
+    assert row["reference_nodes"] == 1
+    assert row["z_star"] == 0.0
+    assert row["hull"]["status"] == row["bigm"]["status"] == "FEASIBLE_LIMIT"
+
+
+def test_reference_solve_that_does_not_close_excludes(monkeypatch):
+    config = GapStudyConfig(instance_count=2, horizons=(30,), seed=0)
+    _downgrade(monkeypatch, {config.node_limit, config.optimality_node_cap})
+    row = run_gap_study(config)["instances"][1]
+    assert row["excluded"]
+    assert row["reason"].startswith(
+        "reference solve did not close within 400 nodes")
+    assert row["z_star"] is None

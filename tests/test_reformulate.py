@@ -1,6 +1,7 @@
 """Big-M and hull reformulations against the brute-force oracle."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -26,9 +27,10 @@ from dmpc.reformulate import (
     to_bigm,
     to_hull,
 )
-from dmpc.thermostat import OFF, build_thermostat_mpc
+from dmpc.simplex import LpResult, LpStatus
+from dmpc.thermostat import OFF, ON, build_thermostat_gdp, build_thermostat_mpc
 
-from conftest import two_box_model
+from conftest import scipy_reference, two_box_model
 
 
 def test_bigm_solves_two_box():
@@ -95,6 +97,40 @@ def test_reformulations_match_oracle(seed):
         else:
             assert res.status is SolveStatus.OPTIMAL
             assert res.objective == pytest.approx(ref.objective, abs=1e-6)
+
+
+def highs_lp(problem) -> LpResult:
+    """``brute_force_solve``'s LP callback on scipy's HiGHS, so the oracle
+    shares no code with the simplex under test."""
+    res = scipy_reference(problem)
+    if res.status != 0:
+        status = {2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}.get(
+            res.status, LpStatus.ITERATION_LIMIT)
+        return LpResult(status, None, None, res.nit)
+    # selection_lp carries the selected disjuncts' fixed costs in obj_const
+    return LpResult(LpStatus.OPTIMAL, res.x, res.fun + problem.obj_const,
+                    res.nit)
+
+
+def test_reformulations_match_highs_oracle():
+    rng = np.random.default_rng(2001)
+    mismatches, feasible = [], 0
+    for idx in range(60):
+        model = random_gdp(rng)
+        ref = brute_force_solve(model, lp=highs_lp)
+        feasible += ref.status is SolveStatus.OPTIMAL
+        for reform in (to_bigm, to_hull):
+            res = solve(reform(model))
+            if ref.status is SolveStatus.INFEASIBLE:
+                ok = res.status is SolveStatus.INFEASIBLE
+            else:
+                ok = (res.status is SolveStatus.OPTIMAL
+                      and abs(res.objective - ref.objective) <= 1e-6)
+            if not ok:
+                mismatches.append((idx, reform.__name__, ref.objective,
+                                   res.objective))
+    assert mismatches == []
+    assert feasible >= 30  # the comparison is mostly about optima
 
 
 @settings(max_examples=25, deadline=None)
@@ -181,3 +217,34 @@ def test_thermostat_hull_has_no_heat_input_copies():
     assert prob.A.shape == (275, 195)
     assert not [label for label in prob.labels
                 if label.startswith("u[") and "@d" in label]
+
+
+def _lowering_digest() -> str:
+    """sha256 over every array (bytes and shape), ``obj_const``, ``labels``
+    and ``row_labels`` of 924 lowerings: 300 random models and the N = 1,
+    3, 10, 30 thermostat at both relay states, each under hull, fixed
+    big-M and from-bounds big-M."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(924)
+    models = [random_gdp(rng) for _ in range(300)]
+    models += [build_thermostat_gdp(np.array([20.5, 20.8, 19.5, 20.1]), s0, N)
+               for N in (1, 3, 10, 30) for s0 in (OFF, ON)]
+    for model in models:
+        for prob in (to_hull(model), to_bigm(model, BigMStrategy.fixed(1e4)),
+                     to_bigm(model, BigMStrategy.from_bounds())):
+            for arr in (prob.c, prob.A, prob.relations, prob.b, prob.lb,
+                        prob.ub, prob.is_int):
+                h.update(repr((arr.dtype.str, arr.shape)).encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(repr((prob.obj_const, prob.labels,
+                           prob.row_labels)).encode())
+    return h.hexdigest()
+
+
+# recorded before `_lower` became the one owner of the columns; a refactor
+# of the lowerings that leaves every model alone keeps it
+LOWERING_SHA256 = "059d9bc987b0f560e2db231be9e9e3421b78093362d1c97ba9f826f99b2c472e"
+
+
+def test_lowerings_pin():
+    assert _lowering_digest() == LOWERING_SHA256

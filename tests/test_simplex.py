@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 import dmpc.simplex
 from dmpc.bnb import SolveOptions, SolveStatus
@@ -21,6 +20,8 @@ from dmpc.simplex import (
 )
 from dmpc.thermostat import OFF, ON, build_thermostat_mpc
 
+from conftest import scipy_reference
+
 
 def make_lp(c, A, relations, b, lb, ub):
     n = len(c)
@@ -34,22 +35,6 @@ def make_lp(c, A, relations, b, lb, ub):
         ub=np.asarray(ub, dtype=float),
         is_int=np.zeros(n, dtype=bool),
     )
-
-
-def scipy_reference(problem):
-    """Solve the same LP with scipy.optimize.linprog (HiGHS)."""
-    le = problem.relations == Relation.LE
-    eq = problem.relations == Relation.EQ
-    res = linprog(
-        problem.c,
-        A_ub=problem.A[le] if le.any() else None,
-        b_ub=problem.b[le] if le.any() else None,
-        A_eq=problem.A[eq] if eq.any() else None,
-        b_eq=problem.b[eq] if eq.any() else None,
-        bounds=list(zip(problem.lb, problem.ub)),
-        method="highs",
-    )
-    return res
 
 
 def test_simple_two_var_lp():
