@@ -80,9 +80,7 @@ class SolveResult:
     selection: tuple | None = None
 
 
-def _gap_percent(objective, bound) -> float:
-    if objective is None:
-        return math.inf
+def _gap_percent(objective: float, bound: float) -> float:
     return 100.0 * (objective - bound) / max(abs(objective), 1e-12)
 
 

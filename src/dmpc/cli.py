@@ -27,11 +27,13 @@ import dataclasses
 import sys
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .bnb import SolveStatus, relaxation_bound, solve
 from .gapstudy import GapStudyConfig, run_gap_study, write_report
 from .gdp import brute_force_solve
 from .instances import random_gdp
+from .milp import MilpProblem, Relation
 from .mps import export_mps
 from .reformulate import BigMStrategy, to_bigm, to_hull
 from .simulate import (
@@ -40,9 +42,10 @@ from .simulate import (
     simulate_rtc,
     write_trace_csv,
 )
+from .simplex import LpResult, LpStatus
 from .thermostat import OFF, build_thermostat_gdp, build_thermostat_mpc
 
-__all__ = ["main"]
+__all__ = ["main", "highs_lp"]
 
 
 def _read_config(path: str) -> dict:
@@ -118,11 +121,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                               variant=cfg["variant"], bigm=cfg["bigm"],
                               apply_sequence=cfg["apply_sequence"])
 
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_trace_csv(trace, fh)
-    else:
-        write_trace_csv(trace, sys.stdout)
+    write_trace_csv(trace, args.out or sys.stdout)
     print(f"simulated {len(trace.t)} periods ({mode}), "
           f"energy {trace.energy_kwh:.4f} kWh",
           file=sys.stderr)
@@ -135,10 +134,7 @@ def _cmd_gapstudy(args: argparse.Namespace) -> int:
     if args.seed is not None:
         values["seed"] = args.seed
     report = run_gap_study(GapStudyConfig(**values))
-    if args.out:
-        write_report(report, args.out)
-    else:
-        write_report(report, sys.stdout)
+    write_report(report, args.out or sys.stdout)
     for entry in report["aggregate"]:
         print(f"N={entry['N']}: used {entry['instances_used']}, "
               f"excluded {entry['instances_excluded']}, "
@@ -151,15 +147,31 @@ def _cmd_gapstudy(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     x0 = np.full(4, 21.0)
     problem = build_thermostat_mpc(x0, OFF, args.N, variant=args.variant)
-    with open(args.out, "w") as fh:
-        export_mps(problem, fh)
+    export_mps(problem, args.out)
     print(f"wrote {args.out} ({problem.n_rows} rows, {problem.n_vars} cols)",
           file=sys.stderr)
     return 0
 
 
+def highs_lp(problem: MilpProblem) -> LpResult:
+    """``brute_force_solve``'s LP callback on scipy's HiGHS, so the oracle
+    shares no code with the simplex under test."""
+    le = problem.relations == Relation.LE  # every other row is EQ
+    res = linprog(problem.c, A_ub=problem.A[le], b_ub=problem.b[le],
+                  A_eq=problem.A[~le], b_eq=problem.b[~le],
+                  bounds=list(zip(problem.lb, problem.ub)), method="highs")
+    if res.status != 0:
+        status = {2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}.get(
+            res.status, LpStatus.ITERATION_LIMIT)
+        return LpResult(status, None, None, res.nit)
+    # selection_lp carries the selected disjuncts' fixed costs in obj_const
+    return LpResult(LpStatus.OPTIMAL, res.x, res.fun + problem.obj_const,
+                    res.nit)
+
+
 def _selftest_equivalence(count: int = 100, tol: float = 1e-6):
-    """Random GDP suite + small thermostat models: bigm = hull = brute."""
+    """Random GDP suite + small thermostat models: bigm = hull = brute,
+    with the brute force solving its LPs on HiGHS."""
     rng = np.random.default_rng(20260822)
     models = [random_gdp(rng) for _ in range(count)]
     models += [
@@ -168,7 +180,7 @@ def _selftest_equivalence(count: int = 100, tol: float = 1e-6):
     ]
     bad = []
     for idx, model in enumerate(models):
-        ref = brute_force_solve(model)
+        ref = brute_force_solve(model, lp=highs_lp)
         for name, reform in (("bigm", to_bigm), ("hull", to_hull)):
             res = solve(reform(model))
             if ref.status is SolveStatus.INFEASIBLE:

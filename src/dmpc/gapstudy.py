@@ -14,7 +14,7 @@ at all).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -201,18 +201,10 @@ def run_gap_study(config: GapStudyConfig | None = None) -> dict:
             entry[f"max_gap_{key}"] = float(np.max(gaps)) if gaps else None
         aggregate.append(entry)
 
+    # every study field but the model parameters, which the report omits
+    settings = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "params"}
     return {
-        "config": {
-            "instance_count": cfg.instance_count,
-            "horizons": list(cfg.horizons),
-            "node_limit": cfg.node_limit,
-            "seed": cfg.seed,
-            "x0_low": cfg.x0_low,
-            "x0_high": cfg.x0_high,
-            "s0": cfg.s0,
-            "bigm": cfg.bigm,
-            "optimality_node_cap": cfg.optimality_node_cap,
-        },
+        "config": {**settings, "horizons": list(cfg.horizons)},
         "aggregate": aggregate,
         "instances": rows,
     }

@@ -24,7 +24,6 @@ which is the property the branch-and-bound study quantifies.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -214,18 +213,9 @@ def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProble
         for i, dj in enumerate(dis.disjuncts):
             for k, con in enumerate(dj.local_constraints):
                 for h, expr in enumerate(_le_rows(con)):
-                    if strategy.mode == "fixed":
-                        M = strategy.M
-                    else:
-                        for j, c in expr.terms:
-                            if c != 0.0 and not (
-                                math.isfinite(lb0[j]) and math.isfinite(ub0[j])
-                            ):
-                                raise ValueError(
-                                    "from_bounds big-M needs finite bounds on "
-                                    f"variable {j}"
-                                )
-                        M = expr.box_range(lb0, ub0)[1]
+                    # _require_valid has rejected every non-finite bound
+                    M = (strategy.M if strategy.mode == "fixed"
+                         else expr.box_range(lb0, ub0)[1])
                     # a.y + k <= M (1 - s)  ->  a.y + M s <= M - k
                     coeffs = dict(expr.terms)
                     coeffs[s[i]] = coeffs.get(s[i], 0.0) + M

@@ -31,7 +31,10 @@ Pricing is Dantzig (most negative reduced cost) with Bland's rule as an
 anti-cycling fallback after a run of degenerate pivots. A dual simplex
 drives warm re-solves after bound changes: bound edits never disturb dual
 feasibility of an optimal basis, which makes the engine cheap to reuse
-across branch-and-bound nodes and across perturbed MPC instances.
+across branch-and-bound nodes and across perturbed MPC instances. Every
+way a warm re-solve can give up (a singular basis, a stall, a spent
+budget, a point that fails verification, ...) is a None returned to
+``solve()``, the one place that falls back to a cold two-phase run.
 
 Both loops keep an entering direction per column: +1 for a column at its
 lower bound with room above it, -1 for one at its upper bound, 0 for
@@ -109,16 +112,6 @@ class Basis:
     vstat: np.ndarray
 
 
-def _degeneracy(step: float, run: int, bland: bool) -> tuple:
-    """Count consecutive steps of at most ``DEG_EPS``; returns (run, bland).
-
-    Bland's rule switches on after ``BLAND_AFTER`` of them and off again at
-    the first real step.
-    """
-    run = run + 1 if step <= DEG_EPS else 0
-    return run, run >= BLAND_AFTER or (bland and run > 0)
-
-
 def check_point(problem: MilpProblem, point) -> float:
     """Maximum signed violation of rows and bounds at ``point``.
 
@@ -192,9 +185,8 @@ class SimplexEngine:
         self._have_basis = False
         self._fresh = False
         self._iters = 0
+        self._deg_run = 0  # degeneracy run and Bland's switch (_degeneracy)
         self._bland = False
-        self._deg_run = 0
-        self._fb_depth = 0
 
     # ---------------------------------------------------------------- setup
 
@@ -285,6 +277,13 @@ class SimplexEngine:
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - self.KT @ self._btran(c[self.basis])
 
+    def _degeneracy(self, step: float):
+        """Count consecutive steps of at most ``DEG_EPS``; Bland's rule is on
+        from the ``BLAND_AFTER``-th to the next real step. Each loop resets
+        both at its start; phase 1 hands its count on to phase 2."""
+        run = self._deg_run = self._deg_run + 1 if step <= DEG_EPS else 0
+        self._bland = run >= BLAND_AFTER or (self._bland and run > 0)
+
     # ---------------------------------------------------------- public API
 
     def snapshot_basis(self) -> Basis:
@@ -307,22 +306,13 @@ class SimplexEngine:
         self.lb[: self.n] = p.lb if lb is None else lb
         self.ub[: self.n] = p.ub if ub is None else ub
         self._iters = 0
-        self._bland = False
-        self._deg_run = 0
 
         if np.any(self.lb[: self.n] > self.ub[: self.n]):
             return LpResult(LpStatus.INFEASIBLE, None, None, 0)
         if self.m == 0:  # the only path without a basis
             return self._solve_unconstrained()
-
-        # artificials must stay pinned at zero outside a phase-1 run
-        self.ub[self.n + self.m :] = 0.0
-
-        if warm and self._have_basis:
-            res = self._dual_solve()
-            if res is not None:
-                return res
-        return self._cold_solve()
+        res = self._dual_solve() if warm and self._have_basis else None
+        return res or self._cold_solve()
 
     # ------------------------------------------------------------ cold path
 
@@ -362,21 +352,19 @@ class SimplexEngine:
 
     def _cold_solve(self) -> LpResult:
         n, m = self.n, self.m
+        self._deg_run, self._bland = 0, False
         self._start_artificial()
 
         c1 = np.zeros(self.nt)
         c1[n + m :] = 1.0
-        # absolute: big-M rows inflate |b| and must not loosen feasibility
-        p1tol = FEAS_TOL
-        status = self._primal_loop(c1, phase_one=True, stop_tol=p1tol)
+        status = self._primal_loop(c1, phase_one=True)
+        self.ub[n + m :] = 0.0  # from here on, for phase 2 and every warm solve
         if status == LpStatus.ITERATION_LIMIT:
             return self._limit_result()
-        infeas = float(self.x[n + m :].sum())
-        if infeas > p1tol:
+        # absolute: big-M rows inflate |b| and must not loosen feasibility
+        if float(self.x[n + m :].sum()) > FEAS_TOL:
             return LpResult(LpStatus.INFEASIBLE, None, None, self._iters)
 
-        # pin artificials at zero for phase 2 and beyond
-        self.ub[n + m :] = 0.0
         self.x[n + m :] = np.where(
             self.vstat[n + m :] == _BASIC, self.x[n + m :], 0.0
         )
@@ -386,11 +374,11 @@ class SimplexEngine:
             return self._limit_result()
         if status == LpStatus.UNBOUNDED:
             return LpResult(LpStatus.UNBOUNDED, None, None, self._iters)
-        return self._optimal_result()
+        return self._optimal_result() or self._limit_result()
 
     # --------------------------------------------------------- primal loop
 
-    def _primal_loop(self, c, phase_one: bool, stop_tol: float = 0.0) -> LpStatus:
+    def _primal_loop(self, c, phase_one: bool) -> LpStatus:
         n, m = self.n, self.m
         movable = self.ub > self.lb  # fixed columns can never enter
         self._set_dirs()
@@ -399,7 +387,7 @@ class SimplexEngine:
                 return LpStatus.ITERATION_LIMIT
             if (self._k >= ETA_MAX or not self._fresh) and not self._reload():
                 return LpStatus.ITERATION_LIMIT  # singular basis: give up
-            if phase_one and float(self.x[n + m :].sum()) <= stop_tol:
+            if phase_one and float(self.x[n + m :].sum()) <= FEAS_TOL:
                 return LpStatus.OPTIMAL
 
             d = self._reduced_costs(c)
@@ -475,7 +463,7 @@ class SimplexEngine:
         if not math.isfinite(delta):
             return None
 
-        self._deg_run, self._bland = _degeneracy(delta, self._deg_run, self._bland)
+        self._degeneracy(delta)
 
         if own_range <= d_basic + 1e-12:
             # entering variable flips to its opposite bound; basis unchanged
@@ -521,21 +509,12 @@ class SimplexEngine:
 
     # ----------------------------------------------------------- dual path
 
-    def _refresh(self):
-        """Refactor, recompute x_B and return exact reduced costs.
-
-        None when the basis has gone singular: the warm solve then falls
-        back to a cold one instead of raising.
-        """
-        if not self._reload():
-            return None
-        return self._reduced_costs(self.c2)
-
     def _dual_solve(self):
         """Warm re-solve after bound edits; None means fall back to cold."""
-        d = self._reduced_costs(self.c2) if self._fresh else self._refresh()
-        if d is None:
+        self._deg_run, self._bland = 0, False
+        if not (self._fresh or self._reload()):
             return None
+        d = self._reduced_costs(self.c2)
         # bound changes keep reduced costs intact, but a variable fixed in
         # one subtree and released in another can sit on the wrong bound
         # for its reduced cost; flipping it restores dual feasibility
@@ -562,22 +541,20 @@ class SimplexEngine:
         budget = min(MAX_ITER // 2, max(500, 2 * (self.m + self.n)))
         best_tot = math.inf
         stall = 0
-        deg_run = 0
-        bland = False
         while True:
             if self._iters >= budget:
                 return None
             # the one refactor site; d is exact while the eta file is empty
             if self._k >= ETA_MAX or not self._fresh:
-                d = self._refresh()
-                if d is None:
+                if not self._reload():
                     return None
+                d = self._reduced_costs(self.c2)
 
             xB = self.x[self.basis]
             v_lo = lbB - xB
             v_hi = xB - ubB
             viol = np.maximum(v_lo, v_hi)
-            r = int((viol > FEAS_TOL).argmax() if bland else viol.argmax())
+            r = int((viol > FEAS_TOL).argmax() if self._bland else viol.argmax())
             if viol[r] <= FEAS_TOL:
                 return self._optimal_result()
             tot = float(np.maximum(viol, 0.0).sum())
@@ -607,7 +584,7 @@ class SimplexEngine:
                     continue
                 return LpResult(LpStatus.INFEASIBLE, None, None, self._iters)
 
-            if bland:
+            if self._bland:
                 q = int(cols[0])
             else:
                 # Harris: largest pivot among columns within the relaxed window
@@ -634,7 +611,7 @@ class SimplexEngine:
             d -= theta_d * alpha
             d[q] = 0.0
             d[leave] = -theta_d
-            deg_run, bland = _degeneracy(abs(theta_d), deg_run, bland)
+            self._degeneracy(abs(theta_d))
 
     # -------------------------------------------------------------- results
 
@@ -642,27 +619,14 @@ class SimplexEngine:
         return float(self.c2[: self.n] @ self.x[: self.n]) + self.obj_const
 
     def _verify(self) -> bool:
-        res = self.b - self.K @ self.x
-        if float(np.max(np.abs(res), initial=0.0)) > 1e-6:
-            return False
-        if float(np.max(self.lb - self.x, initial=0.0)) > 1e-6:
-            return False
-        if float(np.max(self.x - self.ub, initial=0.0)) > 1e-6:
-            return False
-        return True
+        return not (np.max(np.abs(self.b - self.K @ self.x), initial=0.0) > 1e-6
+                    or np.max(self.lb - self.x, initial=0.0) > 1e-6
+                    or np.max(self.x - self.ub, initial=0.0) > 1e-6)
 
-    def _optimal_result(self) -> LpResult:
-        if not self._verify():
-            if not (self._reload() and self._verify()):
-                if self._fb_depth >= 1:
-                    # a cold restart already failed to verify; do not trust
-                    # this point enough to call it optimal
-                    return self._limit_result()
-                self._fb_depth += 1
-                try:
-                    return self._cold_solve()
-                finally:
-                    self._fb_depth -= 1
+    def _optimal_result(self):
+        """The optimum and its dual; None if ``x`` fails _verify even after a reload."""
+        if not (self._verify() or (self._reload() and self._verify())):
+            return None
         y = self._btran(self.c2[self.basis])
         d = self.c2 - self.KT @ y
         nb = self.vstat != _BASIC

@@ -66,9 +66,12 @@ class Scenario:
     building: BuildingModel = field(default_factory=default_building)
     params: ThermostatParams = field(default_factory=ThermostatParams)
     x0: tuple = (21.0, 21.0, 21.0, 21.0)
+    s0: int = OFF  # relay state at t = 0
     periods: int = 480
 
     def __post_init__(self):
+        if self.s0 not in (ON, OFF):
+            raise ValueError("s0 must be ON or OFF")
         if self.periods < 1:
             raise ValueError("periods must be at least 1")
 
@@ -142,7 +145,7 @@ def _closed_loop(sc: Scenario, setpoint) -> ClosedLoopTrace:
     system = building_system(sc.building)
     trace = ClosedLoopTrace(dt_minutes=sc.building.dt_minutes)
     x = np.asarray(sc.x0, dtype=float).copy()
-    s = p.s0
+    s = sc.s0
     energy = 0.0
     for t in range(sc.periods):
         T = float(x[3])

@@ -91,7 +91,6 @@ class ThermostatParams:
     u_max: float = 4000.0
     alpha: float = 1.0
     beta: float = 1e5
-    s0: int = OFF
 
     def __post_init__(self):
         if self.theta <= 0 or self.gamma <= 0:
@@ -100,8 +99,6 @@ class ThermostatParams:
             raise ValueError("u_max must be positive")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("cost weights must be nonnegative")
-        if self.s0 not in (ON, OFF):
-            raise ValueError("s0 must be ON or OFF")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Branch and bound on small MILPs, cross-checked against scipy's HiGHS."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,30 @@ def test_node_limit_reports_partial_result():
     assert res.best_bound <= -9.0 + 1e-9
     if res.objective is not None:
         assert res.gap_percent >= 0.0
+
+
+def test_time_limit_stops_with_open_nodes(monkeypatch):
+    # a clock that ticks once per read: t0 = 0, and the check before node
+    # k reads k, so a 2.5 s limit admits exactly two nodes
+    ticks = iter(range(100))
+    monkeypatch.setattr("dmpc.bnb.time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    prob = knapsack()  # its root LP is fractional, so the root branches
+    res = solve(prob, SolveOptions(time_limit=2.5))
+    assert res.nodes_explored == 2
+    assert res.status is SolveStatus.FEASIBLE_LIMIT
+    # the open sibling carries the root's LP value, below any incumbent
+    assert res.best_bound == pytest.approx(relaxation_bound(prob), abs=1e-9)
+    assert res.objective is None or res.best_bound < res.objective
+
+
+def test_unbounded_milp():
+    # a free column with negative cost; the one row only caps the binary
+    prob = make_milp([-1.0, 0.0], [[0.0, 1.0]], [Relation.LE], [1.0],
+                     [-np.inf, 0.0], [np.inf, 1.0], [False, True])
+    res = solve(prob)
+    assert res.status is SolveStatus.UNBOUNDED
+    assert res.best_bound == -np.inf
+    assert relaxation_bound(prob) == -np.inf
 
 
 def test_infeasible_milp():

@@ -1,6 +1,7 @@
 """Model layer: construction, validation, evaluation, brute force."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from dmpc.bnb import SolveStatus
 from dmpc.gdp import (
     AffineExpr,
     CnfClause,
+    Disjunct,
+    Disjunction,
     IndicatorRef,
     LinConstraint,
     Variable,
@@ -38,6 +41,79 @@ def test_validate_flags_out_of_range_slot():
     bad = LinConstraint(AffineExpr.of({5: 1.0}))
     m = two_box_model(extra_global=(bad,))
     assert validate(m) != []
+
+
+def _with(**changes):
+    return dataclasses.replace(two_box_model(), **changes)
+
+
+def _disjunction(*disjuncts):
+    return (Disjunction(tuple(disjuncts)),)
+
+
+def _clause(*refs):
+    return (CnfClause(tuple((IndicatorRef(d, i), True) for d, i in refs)),)
+
+
+# one malformed model per diagnostic of validate, in the order it checks
+@pytest.mark.parametrize("model, message", [
+    (_with(variables=(Variable("x", -math.inf, 10.0),)),
+     "variable 'x' (index 0): unbounded variable forbids hull reformulation"),
+    (_with(variables=(Variable("x", 5.0, 1.0),)),
+     "variable 'x' (index 0): lower bound above upper"),
+    (_with(objective=AffineExpr(((3, 1.0),))),
+     "objective: undeclared variable index 3 of 1"),
+    (_with(objective=AffineExpr(((0, 1.0), (0, 2.0)))),
+     "objective: variable index 0 appears twice"),
+    (two_box_model(extra_global=(LinConstraint(AffineExpr(((0, math.nan),))),)),
+     "global constraint 0: non-finite coefficient on index 0"),
+    (_with(disjunctions=_disjunction(
+        Disjunct("low", (LinConstraint(AffineExpr.of({0: 1.0}, -1.0)),
+                         LinConstraint(AffineExpr(((0, 1.0),), math.inf)))),
+        Disjunct("high"))),
+     "disjunction 0, disjunct 0, row 1: non-finite constant"),
+    (_with(disjunctions=two_box_model().disjunctions + (Disjunction(()),)),
+     "disjunction 1: empty"),
+    (_with(disjunctions=_disjunction(Disjunct("a"), Disjunct("a"))),
+     "disjunction 0: duplicate indicator names"),
+    (_with(disjunctions=_disjunction(Disjunct("low", fixed_cost=math.inf),
+                                     Disjunct("high"))),
+     "disjunction 0, disjunct 0: non-finite fixed cost"),
+    (_with(propositions=(CnfClause(()),)),
+     "proposition 0: empty clause"),
+    (_with(propositions=_clause((0, 1), (0, 1))),
+     "proposition 0: duplicate literal IndicatorRef(disjunction=0, disjunct=1)"),
+    (_with(propositions=_clause((3, 0))),
+     "proposition 0: unknown disjunction 3"),
+    (_with(propositions=_clause((0, 5))),
+     "proposition 0: unknown disjunct 5 in disjunction 0"),
+])
+def test_validate_names_each_defect(model, message):
+    assert validate(model) == [message]
+
+
+# each model accepts one (selection, point) and rejects another, for the one
+# reason named
+@pytest.mark.parametrize("model, accepted, rejected", [
+    # outside the box [0, 10], though inside the low disjunct's x <= 1
+    (two_box_model(), ((0,), 0.5), ((0,), -1.0)),
+    # a violated global GE row, x >= 0.5
+    (two_box_model(extra_global=(
+        LinConstraint(AffineExpr.of({0: 1.0}, -0.5), Relation.GE),)),
+     ((0,), 0.5), ((0,), 0.2)),
+    # a violated global EQ row, x = 0.7
+    (two_box_model(extra_global=(
+        LinConstraint(AffineExpr.of({0: 1.0}, -0.7), Relation.EQ),)),
+     ((0,), 0.7), ((0,), 0.2)),
+    # a violated clause: the high disjunct must be selected
+    (_with(propositions=_clause((0, 1))), ((1,), 4.5), ((0,), 0.5)),
+])
+def test_evaluate_assignment_rejections(model, accepted, rejected):
+    selection, x = accepted
+    assert evaluate_assignment(model, selection, np.array([x])).feasible
+    selection, x = rejected
+    res = evaluate_assignment(model, selection, np.array([x]))
+    assert not res.feasible and res.objective is None
 
 
 def test_evaluate_assignment_uses_selected_constraints():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmpc.bnb import SolveStatus, relaxation_bound, solve
+from dmpc.cli import highs_lp
 from dmpc.gdp import (
     AffineExpr,
     Disjunction,
@@ -27,10 +28,9 @@ from dmpc.reformulate import (
     to_bigm,
     to_hull,
 )
-from dmpc.simplex import LpResult, LpStatus
 from dmpc.thermostat import OFF, ON, build_thermostat_gdp, build_thermostat_mpc
 
-from conftest import scipy_reference, two_box_model
+from conftest import two_box_model
 
 
 def test_bigm_solves_two_box():
@@ -97,19 +97,6 @@ def test_reformulations_match_oracle(seed):
         else:
             assert res.status is SolveStatus.OPTIMAL
             assert res.objective == pytest.approx(ref.objective, abs=1e-6)
-
-
-def highs_lp(problem) -> LpResult:
-    """``brute_force_solve``'s LP callback on scipy's HiGHS, so the oracle
-    shares no code with the simplex under test."""
-    res = scipy_reference(problem)
-    if res.status != 0:
-        status = {2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}.get(
-            res.status, LpStatus.ITERATION_LIMIT)
-        return LpResult(status, None, None, res.nit)
-    # selection_lp carries the selected disjuncts' fixed costs in obj_const
-    return LpResult(LpStatus.OPTIMAL, res.x, res.fun + problem.obj_const,
-                    res.nit)
 
 
 def test_reformulations_match_highs_oracle():

@@ -43,6 +43,11 @@ def test_scenario_rejects_empty_horizon():
         Scenario(periods=0)
 
 
+def test_scenario_rejects_unknown_relay_state():
+    with pytest.raises(ValueError, match="s0 must be ON or OFF"):
+        Scenario(s0=7)
+
+
 def test_rtc_infinite_band_off_never_heats():
     sc = Scenario(params=ThermostatParams(gamma=math.inf), periods=120)
     trace = simulate_rtc(sc)
@@ -51,8 +56,7 @@ def test_rtc_infinite_band_off_never_heats():
 
 
 def test_rtc_forced_on_full_power():
-    sc = Scenario(params=ThermostatParams(gamma=math.inf, s0=ON),
-                  periods=480)
+    sc = Scenario(params=ThermostatParams(gamma=math.inf), s0=ON, periods=480)
     trace = simulate_rtc(sc)
     # 480 periods of 4 kW for 15 s each
     assert trace.energy_kwh == pytest.approx(8.0, abs=1e-9)

@@ -70,8 +70,6 @@ def test_params_validation():
         ThermostatParams(theta=-1.0)
     with pytest.raises(ValueError):
         ThermostatParams(u_max=0.0)
-    with pytest.raises(ValueError):
-        ThermostatParams(s0=7)
 
 
 def test_default_building_shapes():
