@@ -27,14 +27,15 @@ k etas is one triangular solve and one matrix-vector product:
     FTRAN   v = B0^-1 a;   t = L^-1 v[P];          v -= G^T t
     BTRAN   t = L^-T (G c); c[P] -= t (repeats add); y = B0^-T c
 
-Pricing is Dantzig (most negative reduced cost) with Bland's rule as an
-anti-cycling fallback after a run of degenerate pivots. A dual simplex
-drives warm re-solves after bound changes: bound edits never disturb dual
-feasibility of an optimal basis, which makes the engine cheap to reuse
-across branch-and-bound nodes and across perturbed MPC instances. Every
-way a warm re-solve can give up (a singular basis, a stall, a spent
-budget, a point that fails verification, ...) is a None returned to
-``solve()``, the one place that falls back to a cold two-phase run.
+The primal prices by Dantzig (most negative reduced cost), with Bland's
+rule, the engine's only anti-cycling rule, after a run of degenerate
+pivots. A Harris dual simplex drives warm re-solves after bound changes:
+bound edits never disturb dual feasibility of an optimal basis, which
+makes the engine cheap to reuse across branch-and-bound nodes and across
+perturbed MPC instances. Every way a warm re-solve can give up (a
+singular basis, a stall, a spent budget, a point that fails verification,
+...) is a None returned to ``solve()``, the one place that falls back to
+a cold two-phase run.
 
 Both loops keep an entering direction per column: +1 for a column at its
 lower bound with room above it, -1 for one at its upper bound, 0 for
@@ -66,7 +67,7 @@ __all__ = ["LpStatus", "LpResult", "Basis", "SimplexEngine", "solve_lp", "check_
 FEAS_TOL = 1e-7      # primal feasibility / optimality tolerance
 PIVOT_TOL = 1e-9     # smallest usable pivot element
 DEG_EPS = 1e-10      # step size below which a pivot counts as degenerate
-BLAND_AFTER = 1000   # consecutive degenerate pivots before Bland's rule
+BLAND_AFTER = 1000   # consecutive degenerate primal pivots before Bland's rule
 MAX_ITER = 50_000    # per-solve pivot budget
 ETA_MAX = 160        # eta-file length between refactorizations
 DUAL_STALL_AFTER = 300  # warm dual pivots without progress before going cold
@@ -93,15 +94,13 @@ class LpResult:
     """Outcome of one LP solve.
 
     ``point`` and ``objective`` are populated for OPTIMAL and, as a best
-    effort, for ITERATION_LIMIT. ``dual_objective`` is the value of the
-    final dual certificate; at optimality it matches ``objective``.
+    effort, for ITERATION_LIMIT.
     """
 
     status: LpStatus
     point: np.ndarray | None
     objective: float | None
     iterations: int
-    dual_objective: float | None = None
 
 
 @dataclass
@@ -278,9 +277,9 @@ class SimplexEngine:
         return c - self.KT @ self._btran(c[self.basis])
 
     def _degeneracy(self, step: float):
-        """Count consecutive steps of at most ``DEG_EPS``; Bland's rule is on
-        from the ``BLAND_AFTER``-th to the next real step. Each loop resets
-        both at its start; phase 1 hands its count on to phase 2."""
+        """Count consecutive primal steps of at most ``DEG_EPS``; Bland's rule
+        is on from the ``BLAND_AFTER``-th to the next real step. Each cold
+        solve resets both; phase 1 hands its count on to phase 2."""
         run = self._deg_run = self._deg_run + 1 if step <= DEG_EPS else 0
         self._bland = run >= BLAND_AFTER or (self._bland and run > 0)
 
@@ -325,7 +324,7 @@ class SimplexEngine:
             return LpResult(LpStatus.UNBOUNDED, None, None, 0)
         self.x[: self.n] = x
         obj = float(c @ x) + self.obj_const
-        return LpResult(LpStatus.OPTIMAL, x.copy(), obj, 0, dual_objective=obj)
+        return LpResult(LpStatus.OPTIMAL, x.copy(), obj, 0)
 
     def _start_artificial(self):
         n, m = self.n, self.m
@@ -414,11 +413,11 @@ class SimplexEngine:
             w = self._ftran(self._column(q))
             step = self._ratio_and_pivot(q, t_dir, w)
             if step is None:
-                if phase_one:
-                    # numerically impossible; restart from a clean refactor
-                    self._fresh = False
-                    continue
-                return LpStatus.UNBOUNDED
+                if not phase_one:
+                    return LpStatus.UNBOUNDED
+                if not self._k:  # no step even on a fresh factorization
+                    return LpStatus.ITERATION_LIMIT
+                self._fresh = False  # numerically impossible; refactor, retry
 
     def _ratio_and_pivot(self, q: int, t_dir: float, w: np.ndarray):
         """Bounded-variable Harris ratio test, then pivot or bound flip.
@@ -511,20 +510,25 @@ class SimplexEngine:
 
     def _dual_solve(self):
         """Warm re-solve after bound edits; None means fall back to cold."""
-        self._deg_run, self._bland = 0, False
         if not (self._fresh or self._reload()):
             return None
         d = self._reduced_costs(self.c2)
+        stat = self.vstat
+        # a free nonbasic that a bound edit boxed in goes onto a finite bound
+        free = stat == _FREE
+        stat[free & np.isfinite(self.lb)] = _AT_LOWER
+        stat[free & ~np.isfinite(self.lb) & np.isfinite(self.ub)] = _AT_UPPER
         # bound changes keep reduced costs intact, but a variable fixed in
         # one subtree and released in another can sit on the wrong bound
         # for its reduced cost; flipping it restores dual feasibility
-        stat = self.vstat
         at_lo, at_hi = stat == _AT_LOWER, stat == _AT_UPPER
         lo_bad = at_lo & (d < -1e-6) & (self.ub > self.lb)
         hi_bad = at_hi & (d > 1e-6)
-        # a nonbasic loaded at, or flipped toward, an infinite bound
+        # a nonbasic loaded at, or flipped toward, an infinite bound, or left
+        # free with a reduced cost that no bound flip can fix
         if np.any(((at_lo | hi_bad) & ~np.isfinite(self.lb))
-                  | ((at_hi | lo_bad) & ~np.isfinite(self.ub))):
+                  | ((at_hi | lo_bad) & ~np.isfinite(self.ub))
+                  | ((stat == _FREE) & (np.abs(d) > 1e-6))):
             return None
         stat[lo_bad] = _AT_UPPER
         stat[hi_bad] = _AT_LOWER
@@ -554,7 +558,7 @@ class SimplexEngine:
             v_lo = lbB - xB
             v_hi = xB - ubB
             viol = np.maximum(v_lo, v_hi)
-            r = int((viol > FEAS_TOL).argmax() if self._bland else viol.argmax())
+            r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
                 return self._optimal_result()
             tot = float(np.maximum(viol, 0.0).sum())
@@ -584,14 +588,11 @@ class SimplexEngine:
                     continue
                 return LpResult(LpStatus.INFEASIBLE, None, None, self._iters)
 
-            if self._bland:
-                q = int(cols[0])
-            else:
-                # Harris: largest pivot among columns within the relaxed window
-                aa = np.abs(alpha[cols])
-                mag = np.maximum(d[cols] * self._dir[cols], 0.0)
-                theta_max = ((mag + FEAS_TOL) / aa).min()
-                q = int(cols[np.where(mag / aa <= theta_max, aa, -1.0).argmax()])
+            # Harris: largest pivot among columns within the relaxed window
+            aa = np.abs(alpha[cols])
+            mag = np.maximum(d[cols] * self._dir[cols], 0.0)
+            theta_max = ((mag + FEAS_TOL) / aa).min()
+            q = int(cols[np.where(mag / aa <= theta_max, aa, -1.0).argmax()])
 
             w = self._ftran(self._column(q))
             piv = float(w[r])
@@ -611,7 +612,6 @@ class SimplexEngine:
             d -= theta_d * alpha
             d[q] = 0.0
             d[leave] = -theta_d
-            self._degeneracy(abs(theta_d))
 
     # -------------------------------------------------------------- results
 
@@ -624,21 +624,11 @@ class SimplexEngine:
                     or np.max(self.x - self.ub, initial=0.0) > 1e-6)
 
     def _optimal_result(self):
-        """The optimum and its dual; None if ``x`` fails _verify even after a reload."""
+        """The optimum at ``x``; None if ``x`` fails _verify even after a reload."""
         if not (self._verify() or (self._reload() and self._verify())):
             return None
-        y = self._btran(self.c2[self.basis])
-        d = self.c2 - self.KT @ y
-        nb = self.vstat != _BASIC
-        dual = float(y @ self.b + d[nb] @ self.x[nb]) + self.obj_const
-        obj = self._objective()
-        return LpResult(
-            LpStatus.OPTIMAL,
-            self.x[: self.n].copy(),
-            obj,
-            self._iters,
-            dual_objective=dual,
-        )
+        x = self.x[: self.n].copy()
+        return LpResult(LpStatus.OPTIMAL, x, self._objective(), self._iters)
 
     def _limit_result(self) -> LpResult:
         return LpResult(

@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
+import dataclasses
+
 import numpy as np
-from scipy.optimize import linprog
+import pytest
 
 from dmpc.gdp import (
     AffineExpr,
@@ -11,7 +13,15 @@ from dmpc.gdp import (
     LinConstraint,
     Variable,
 )
-from dmpc.milp import MilpProblem, Relation
+from dmpc.milp import MilpProblem
+from dmpc.simplex import (
+    _AT_LOWER,
+    _AT_UPPER,
+    _FREE,
+    FEAS_TOL,
+    LpStatus,
+    SimplexEngine,
+)
 
 
 def make_milp(c, A, relations, b, lb, ub, is_int):
@@ -28,20 +38,54 @@ def make_milp(c, A, relations, b, lb, ub, is_int):
     )
 
 
-def scipy_reference(problem):
-    """Solve the same LP with scipy.optimize.linprog (HiGHS)."""
-    le = problem.relations == Relation.LE
-    eq = problem.relations == Relation.EQ
-    res = linprog(
-        problem.c,
-        A_ub=problem.A[le] if le.any() else None,
-        b_ub=problem.b[le] if le.any() else None,
-        A_eq=problem.A[eq] if eq.any() else None,
-        b_eq=problem.b[eq] if eq.any() else None,
-        bounds=list(zip(problem.lb, problem.ub)),
-        method="highs",
-    )
-    return res
+def assert_certified(engine):
+    """Check that the engine's final basis proves its point optimal.
+
+    Uses neither the engine's LU nor its eta file: ``y`` solves the dense
+    ``B^T y = c_B`` and ``d = c - K^T y``. The point must satisfy every
+    bound and row, each nonbasic must sit on the bound its status names,
+    and no movable nonbasic may have a reduced cost that improves.
+    """
+    K, x, lb, ub, stat = engine.K, engine.x, engine.lb, engine.ub, engine.vstat
+    c = engine.c2
+    y = np.linalg.solve(K[:, engine.basis].toarray().T, c[engine.basis])
+    d = c - K.T @ y
+
+    assert np.max(lb - x) <= FEAS_TOL
+    assert np.max(x - ub) <= FEAS_TOL
+    assert np.max(np.abs(engine.b - K @ x)) <= 1e-6
+    at_lo, at_hi = stat == _AT_LOWER, stat == _AT_UPPER
+    assert np.array_equal(x[at_lo], lb[at_lo])
+    assert np.array_equal(x[at_hi], ub[at_hi])
+
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(c))))
+    movable = ub > lb
+    assert np.all(d[at_lo & movable] >= -tol)
+    assert np.all(d[at_hi & movable] <= tol)
+    assert np.all(np.abs(d[stat == _FREE]) <= tol)
+
+
+@pytest.fixture
+def lp_log(monkeypatch):
+    """Every ``SimplexEngine.solve`` in the test, as ``(lp, result)`` pairs.
+
+    ``lp`` is the engine's problem with the bounds that solve used; each
+    OPTIMAL result is checked with :func:`assert_certified` on return.
+    """
+    log = []
+    real_solve = SimplexEngine.solve
+
+    def solve(self, *args, **kwargs):
+        res = real_solve(self, *args, **kwargs)
+        if res.status is LpStatus.OPTIMAL:
+            assert_certified(self)
+        n = self.n
+        lp = dataclasses.replace(self.problem, lb=self.lb[:n].copy(), ub=self.ub[:n].copy())
+        log.append((lp, res))
+        return res
+
+    monkeypatch.setattr(SimplexEngine, "solve", solve)
+    return log
 
 
 def two_box_model(costs=(1.0, 3.0), extra_global=()):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import dmpc.simplex
 from dmpc.bnb import SolveOptions, SolveStatus
 from dmpc.bnb import solve as bnb_solve
+from dmpc.cli import highs_lp
 from dmpc.milp import MilpProblem, Relation
 from dmpc.simplex import (
     Basis,
@@ -20,7 +21,7 @@ from dmpc.simplex import (
 )
 from dmpc.thermostat import OFF, ON, build_thermostat_mpc
 
-from conftest import scipy_reference
+from conftest import assert_certified
 
 
 def make_lp(c, A, relations, b, lb, ub):
@@ -151,16 +152,16 @@ def test_random_lps_match_scipy(seed):
         np.round(-rng.uniform(0.0, 5.0, n), 2),
         np.round(rng.uniform(0.0, 5.0, n), 2),
     )
-    mine = solve_lp(lp)
-    ref = scipy_reference(lp)
-    if ref.status == 2:
+    eng = SimplexEngine(lp)
+    mine = eng.solve(warm=False)
+    ref = highs_lp(lp)
+    if ref.status is LpStatus.INFEASIBLE:
         assert mine.status is LpStatus.INFEASIBLE
-    elif ref.status == 0:
+    elif ref.status is LpStatus.OPTIMAL:
         assert mine.status is LpStatus.OPTIMAL
-        assert mine.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+        assert mine.objective == pytest.approx(ref.objective, abs=1e-6, rel=1e-6)
         assert check_point(lp, mine.point) <= 1e-7
-        gap = abs(mine.objective - mine.dual_objective)
-        assert gap <= 1e-8 * max(1.0, abs(mine.objective))
+        assert_certified(eng)
 
 
 def thermostat_n3():
@@ -250,6 +251,23 @@ def test_singular_refactor_in_cold_loop_ends_at_iteration_limit(monkeypatch):
     assert again.objective == pytest.approx(want.objective, rel=1e-9)
 
 
+def test_phase_one_without_a_step_ends_at_iteration_limit(monkeypatch):
+    # a ratio test that finds no step on a fresh factorization ends the
+    # solve; retrying would repeat the same step forever
+    calls = []
+
+    def no_step(self, q, t_dir, w):
+        calls.append(self._k)
+        if len(calls) > 50:
+            pytest.fail("phase one retried a step it cannot take")
+        return None
+
+    monkeypatch.setattr(SimplexEngine, "_ratio_and_pivot", no_step)
+    res = SimplexEngine(thermostat_n3()).solve(warm=False)
+    assert res.status is LpStatus.ITERATION_LIMIT
+    assert calls == [0]
+
+
 def test_singular_bland_pivot_in_cold_path_stops_bnb_cleanly(monkeypatch):
     # Bland's ratio test takes a near-zero pivot here and the next
     # refactorization finds the basis singular; the root LP gives up
@@ -275,37 +293,35 @@ def random_lp_with_open_bounds(rng):
                    rng.standard_normal(m), lb, ub)
 
 
-# (count, sha256) over the SimplexEngine.solve results of each group of runs
-# below: node-limited B&B on the hull models, the same on the big-M models,
-# and 60 random LPs with 4 warm re-solves each. A change that keeps every
-# pivot keeps each digest; a change to one lowering moves only its own.
+def lp_digest(log):
+    """(count, sha256) over the results of an ``lp_log``."""
+    h = hashlib.sha256()
+    for _, r in log:
+        h.update(repr((r.status.value, r.objective, r.iterations)).encode())
+        h.update(b"" if r.point is None else r.point.tobytes())
+    return len(log), h.hexdigest()
+
+
+def assert_agree_with_highs(log):
+    for lp, r in log:
+        ref = highs_lp(lp)
+        assert r.status is ref.status
+        if r.status is LpStatus.OPTIMAL:
+            assert r.objective == pytest.approx(ref.objective, abs=1e-6, rel=1e-6)
+
+
+# lp_digest of the SimplexEngine.solve results of each group of runs below:
+# node-limited B&B on the hull models, the same on the big-M models, and 60
+# random LPs with 4 warm re-solves each. A change that keeps every pivot
+# keeps each digest; a change to one lowering moves only its own.
 LP_RESULTS = {
-    "hull": (89, "b1e11bb1c4f42f6439a7c4e6a452dd25b77d1b7d3cc1ecfc2100e7180502420a"),
-    "bigm": (108, "b691562c1b0b021a0caf010c34461bb71c4ddc37c7f52be36118537fab46845b"),
-    "random": (300, "f9125fdda6abec413ac514512a9729822eb39ff56ad8c3dda0c6e1703f1095b1"),
+    "hull": (89, "d2b0ec89b1e1e6823281c045bb6b6c965bd2fdea14e7366efc3bf6d9eb777c34"),
+    "bigm": (108, "63a2e3ebd7eaa84d066feebd1d2087d3019b8c62ae9d8ce9e81a6079adf87bb1"),
+    "random": (300, "2a01374cc484ecc4ab70f1196fdc58eed47072a455088737039c08815e2ac4a2"),
 }
 
 
-def test_lp_results_pin(monkeypatch):
-    results = []
-    real_solve = SimplexEngine.solve
-
-    def recording_solve(self, *args, **kwargs):
-        res = real_solve(self, *args, **kwargs)
-        results.append(res)
-        return res
-
-    def digest():
-        h = hashlib.sha256()
-        for r in results:
-            h.update(repr((r.status.value, r.objective, r.iterations,
-                           r.dual_objective)).encode())
-            h.update(b"" if r.point is None else r.point.tobytes())
-        out = (len(results), h.hexdigest())
-        results.clear()
-        return out
-
-    monkeypatch.setattr(SimplexEngine, "solve", recording_solve)
+def test_lp_results_pin(lp_log):
     got = {}
     for variant in ("hull", "bigm"):
         for N in (5, 10):
@@ -313,7 +329,8 @@ def test_lp_results_pin(monkeypatch):
                 prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), s0, N,
                                             variant=variant)
                 bnb_solve(prob, SolveOptions(node_limit=30))
-        got[variant] = digest()
+        got[variant] = lp_digest(lp_log)
+        lp_log.clear()
     for seed in range(60):
         rng = np.random.default_rng(seed)
         lp = random_lp_with_open_bounds(rng)
@@ -328,33 +345,22 @@ def test_lp_results_pin(monkeypatch):
             else:
                 lb[j] = v
             eng.solve(lb=lb, ub=ub)
-    got["random"] = digest()
+    assert_agree_with_highs(lp_log)
+    got["random"] = lp_digest(lp_log)
     assert got == LP_RESULTS
 
 
-def test_lp_results_pin_under_bland(monkeypatch):
+def test_lp_results_pin_under_bland(monkeypatch, lp_log):
     # the runs above never reach Bland's rule; here it switches on after
-    # three degenerate pivots and takes over 500 steps in the big-M runs
-    # (the hull root LPs end at the iteration limit, tested above)
+    # three degenerate pivots of the cold primal, its only user, and takes
+    # 48 steps in the big-M runs (the hull root LPs end at the iteration
+    # limit, tested above)
     monkeypatch.setattr(dmpc.simplex, "BLAND_AFTER", 3)
-    h = hashlib.sha256()
-    count = 0
-    real_solve = SimplexEngine.solve
-
-    def recording_solve(self, *args, **kwargs):
-        nonlocal count
-        r = real_solve(self, *args, **kwargs)
-        count += 1
-        h.update(repr((r.status.value, r.objective, r.iterations,
-                       r.dual_objective)).encode())
-        h.update(b"" if r.point is None else r.point.tobytes())
-        return r
-
-    monkeypatch.setattr(SimplexEngine, "solve", recording_solve)
     for N in (5, 10):
         for s0 in (OFF, ON):
             prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), s0, N,
                                         variant="bigm")
             bnb_solve(prob, SolveOptions(node_limit=30))
-    assert (count, h.hexdigest()) == (
-        102, "782c6bc448207c03a46a378a8b75e7b7721e7d8db72db044c3d3f928afd28ca0")
+    assert_agree_with_highs(lp_log)
+    assert lp_digest(lp_log) == (
+        110, "e0254d836983a5a4545badc64116e0d3932ee15674ab03756e0ec1811183036d")

@@ -20,6 +20,7 @@ from dmpc.simulate import (
     simulate_rtc,
     write_trace_csv,
 )
+from dmpc.simplex import LpStatus
 from dmpc.thermostat import OFF, ON, ThermostatParams
 
 
@@ -135,6 +136,16 @@ def test_dmpc_short_run_audits_clean():
     assert len(trace.solves) == 6  # one plan every M periods
     assert audit_trace(trace, sc.params.gamma) == []
     assert trace.energy_kwh >= 0.0
+
+
+def test_dmpc_plans_certify_across_loaded_bases(lp_log):
+    # each plan after the first starts from the basis the previous plan
+    # left, on a model whose A moved with x0; lp_log certifies every
+    # OPTIMAL LP from its final basis
+    sc = Scenario(x0=(21.14, 21.19, 20.27, 20.01), periods=8)
+    trace = simulate_dmpc(sc, N=10, M=1)
+    assert len(trace.solves) == 8
+    assert sum(r.status is LpStatus.OPTIMAL for _, r in lp_log) >= 200
 
 
 def test_dmpc_rejects_bad_window():
