@@ -4,12 +4,15 @@ Plain LP-based branch and bound: best-bound node selection (FIFO on
 ties), most-fractional branching (lowest column on ties), no cuts, no
 presolve, no rounding heuristics. One simplex engine is shared by every
 node; since branching only moves bounds, each node re-solves warm with
-the dual simplex from whatever basis the previous node left behind.
+the dual simplex from its parent's optimal basis, one bound edit away.
 
 Nodes are kept lazily: a node is enqueued as the chain of bound changes
-along its path plus its parent's LP value, and is only solved when it is
-dequeued. ``nodes_explored`` counts dequeued-and-solved nodes, so the
-root counts as 1 and nodes pruned by bound before solving do not count.
+along its path plus its parent's LP value and a snapshot of its parent's
+optimal basis, which both children share, and is only solved when it is
+dequeued. The snapshot is loaded into the engine unless the engine still
+holds it, that is, unless the last LP solved was the parent's.
+``nodes_explored`` counts dequeued-and-solved nodes, so the root counts
+as 1 and nodes pruned by bound before solving do not count.
 """
 
 from __future__ import annotations
@@ -107,7 +110,9 @@ def solve(
 
     Passing ``engine`` reuses an existing simplex engine (and its basis)
     for the root solve, which is how the closed-loop controller and the
-    gap study warm-start consecutive instances.
+    gap study warm-start consecutive instances. Every other node starts
+    from its parent's optimal basis, which is loaded into the engine
+    unless the parent's LP was the last one solved.
     """
     opts = options or SolveOptions()
     diagnostics = problem.validate()
@@ -127,8 +132,11 @@ def solve(
 
     # every way out of the loop but exhaustion leaves the open nodes on
     # the heap, and its top is then the global bound
-    heap: list = [(-math.inf, 0, ())]
+    # entries are (bound, seq, changes, parent basis); held is the snapshot
+    # of the LP the engine solved last, while it still holds that basis
+    heap: list = [(-math.inf, 0, (), None)]
     seq = 1
+    held = None
 
     while heap:
         if opts.node_limit is not None and nodes >= opts.node_limit:
@@ -136,23 +144,27 @@ def solve(
         if opts.time_limit is not None and time.monotonic() - t0 > opts.time_limit:
             break
 
-        est, _, changes = heapq.heappop(heap)
+        node = heapq.heappop(heap)
+        est, _, changes, start = node
         if incumbent is not None:
             if est >= z - 1e-9:
                 continue
             if _gap_percent(z, est) <= 100.0 * REL_GAP_TOL:
-                heapq.heappush(heap, (est, -1, changes))
+                heapq.heappush(heap, node)
                 break
 
         lb, ub = root_lb.copy(), root_ub.copy()
         for col, lo, hi in changes:
             lb[col], ub[col] = lo, hi
 
+        if start is not None and start is not held:
+            eng.load_basis(start)
         res = eng.solve(lb=lb, ub=ub, warm=True)
         nodes += 1
+        held = None
 
         if res.status == LpStatus.ITERATION_LIMIT:
-            heapq.heappush(heap, (est, -1, changes))
+            heapq.heappush(heap, node)
             break
         if res.status == LpStatus.UNBOUNDED:
             unbounded = True
@@ -164,6 +176,7 @@ def solve(
         if incumbent is not None and val >= z - 1e-9:
             continue
 
+        snap = held = eng.snapshot_basis()  # before any pinned re-solve
         x = res.point
         dist = np.abs(x[int_cols] - np.round(x[int_cols])) if int_cols.size else np.empty(0)
         dmax = float(dist.max(initial=0.0))
@@ -179,6 +192,7 @@ def solve(
                 plb[int_cols] = rvals
                 pub[int_cols] = rvals
                 pres = eng.solve(lb=plb, ub=pub, warm=True)
+                held = None
                 if pres.status == LpStatus.OPTIMAL:
                     cand_val, cand_pt = pres.objective, pres.point
                     branch_anyway = cand_val > val + 1e-9
@@ -195,8 +209,8 @@ def solve(
         xj = float(x[col])
         down = changes + ((col, lb[col], math.floor(xj)),)
         up = changes + ((col, math.ceil(xj), ub[col]),)
-        heapq.heappush(heap, (val, seq, down))
-        heapq.heappush(heap, (val, seq + 1, up))
+        heapq.heappush(heap, (val, seq, down, snap))
+        heapq.heappush(heap, (val, seq + 1, up, snap))
         seq += 2
 
     if unbounded:

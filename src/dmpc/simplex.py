@@ -29,13 +29,14 @@ k etas is one triangular solve and one matrix-vector product:
 
 The primal prices by Dantzig (most negative reduced cost), with Bland's
 rule, the engine's only anti-cycling rule, after a run of degenerate
-pivots. A Harris dual simplex drives warm re-solves after bound changes:
-bound edits never disturb dual feasibility of an optimal basis, which
-makes the engine cheap to reuse across branch-and-bound nodes and across
-perturbed MPC instances. Every way a warm re-solve can give up (a
-singular basis, a stall, a spent budget, a point that fails verification,
-...) is a None returned to ``solve()``, the one place that falls back to
-a cold two-phase run.
+pivots: the lowest-index improving column enters, and the largest pivot
+among the rows tied in the ratio test leaves. A Harris dual simplex
+drives warm re-solves after bound changes: bound edits never disturb
+dual feasibility of an optimal basis, which makes the engine cheap to
+reuse across branch-and-bound nodes and across perturbed MPC instances.
+Every way a warm re-solve can give up (a singular basis, a stall, a spent
+budget, a point that fails verification, ...) is a None returned to
+``solve()``, the one place that falls back to a cold two-phase run.
 
 Both loops keep an entering direction per column: +1 for a column at its
 lower bound with room above it, -1 for one at its upper bound, 0 for
@@ -289,6 +290,17 @@ class SimplexEngine:
         return Basis(self.basis.copy(), self.vstat.copy())
 
     def load_basis(self, snap: Basis):
+        """Make ``snap`` the basis of the next warm solve.
+
+        Raises ValueError when its shapes do not fit this engine's
+        ``m`` rows and ``n + 2m`` columns.
+        """
+        if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
+            raise ValueError(
+                f"basis of shape {snap.basis.shape} and statuses of shape "
+                f"{snap.vstat.shape} do not fit an engine with basis shape "
+                f"({self.m},) and status shape ({self.nt},)"
+            )
         self.basis = snap.basis.copy()
         self.vstat = snap.vstat.copy()
         self._have_basis = True
@@ -449,8 +461,10 @@ class SimplexEngine:
         if self._bland:
             d_true = float(deltas.min(initial=math.inf))
             if math.isfinite(d_true):
+                # the largest pivot among the tied rows: the lowest basic
+                # index can be a near-zero pivot that leaves B singular
                 ties = (deltas <= d_true).nonzero()[0]
-                i = int(ties[rows[ties].argmin()])
+                i = int(ties[np.abs(rb[ties]).argmax()])
                 r, d_basic = int(blk[i]), float(deltas[i])
         elif blk.size:
             scores = np.where(deltas <= theta_max, np.abs(rb), -1.0)

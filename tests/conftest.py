@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from dmpc.gdp import (
     AffineExpr,
@@ -13,7 +14,7 @@ from dmpc.gdp import (
     LinConstraint,
     Variable,
 )
-from dmpc.milp import MilpProblem
+from dmpc.milp import MilpProblem, Relation
 from dmpc.simplex import (
     _AT_LOWER,
     _AT_UPPER,
@@ -35,6 +36,19 @@ def make_milp(c, A, relations, b, lb, ub, is_int):
         lb=np.asarray(lb, dtype=float),
         ub=np.asarray(ub, dtype=float),
         is_int=np.asarray(is_int, dtype=bool),
+    )
+
+
+def highs_milp(problem):
+    """``scipy.optimize.milp`` on ``problem``; ``fun`` leaves out
+    ``problem.obj_const``."""
+    lo = np.where(problem.relations == Relation.EQ, problem.b, -np.inf)
+    cons = LinearConstraint(problem.A, lo, problem.b)
+    return milp(
+        problem.c,
+        constraints=[cons] if problem.n_rows else [],
+        bounds=Bounds(problem.lb, problem.ub),
+        integrality=problem.is_int.astype(int),
     )
 
 

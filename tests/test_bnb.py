@@ -6,25 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from dmpc.bnb import SolveOptions, SolveStatus, relaxation_bound, solve
 from dmpc.milp import Relation
-from dmpc.simplex import LpStatus
+from dmpc.simplex import LpStatus, SimplexEngine
 from dmpc.thermostat import OFF, build_thermostat_mpc
 
-from conftest import make_milp
-
-
-def scipy_reference(problem):
-    lo = np.where(problem.relations == Relation.EQ, problem.b, -np.inf)
-    cons = LinearConstraint(problem.A, lo, problem.b)
-    return milp(
-        problem.c,
-        constraints=[cons] if problem.n_rows else [],
-        bounds=Bounds(problem.lb, problem.ub),
-        integrality=problem.is_int.astype(int),
-    )
+from conftest import highs_milp, make_milp
 
 
 def knapsack():
@@ -128,7 +116,7 @@ def test_random_milps_match_scipy(seed):
         is_int,
     )
     mine = solve(prob)
-    ref = scipy_reference(prob)
+    ref = highs_milp(prob)
     if ref.status == 2:
         assert mine.status is SolveStatus.INFEASIBLE
     elif ref.status == 0:
@@ -145,16 +133,61 @@ def test_node_lps_certify_optimality(lp_log, variant):
 
 
 # exact results of two N=8 hull solves; the node-limited one stops with an
-# open node below the incumbent, the other closes the gap on a popped node
+# open node below the incumbent (it first has one at node 20), the other
+# closes the gap on a popped node
 @pytest.mark.parametrize("x0, node_limit, expected", [
-    ((21.14, 21.19, 20.27, 20.01), 16,
-     (SolveStatus.FEASIBLE_LIMIT, 8841.9791665831, 5867.550523883916, 16,
-      33.63985128963637)),
+    ((21.14, 21.19, 20.27, 20.01), 32,
+     (SolveStatus.FEASIBLE_LIMIT, 8841.97916655218, 6184.553458101736, 32,
+      30.054647928860415)),
     ((20.5, 20.8, 19.5, 20.1), None,
-     (SolveStatus.OPTIMAL, 9162.175608963931, 9162.175608935308, 63,
-      3.12410703263462e-10)),
+     (SolveStatus.OPTIMAL, 9162.175608963877, 9162.175608963877, 65, 0.0)),
 ])
 def test_exit_rule_pins(x0, node_limit, expected):
     res = solve(build_thermostat_mpc(x0, OFF, 8), SolveOptions(node_limit=node_limit))
     assert (res.status, res.objective, res.best_bound, res.nodes_explored,
             res.gap_percent) == expected
+
+
+def test_nodes_start_from_parent_basis(monkeypatch):
+    # every node LP but the root starts from its parent's optimal basis,
+    # also after a pinned re-solve has moved the engine's basis. A pinned
+    # re-solve fixes every binary inside the box of the node before it; a
+    # node's parent is the one earlier node whose box holds its own and
+    # differs from it in exactly one column
+    calls = []
+    real_solve = SimplexEngine.solve
+
+    def solve_logged(self, lb=None, ub=None, warm=True):
+        start = (self.basis.copy(), self.vstat.copy())
+        res = real_solve(self, lb=lb, ub=ub, warm=warm)
+        calls.append((lb.copy(), ub.copy(), start, (self.basis.copy(), self.vstat.copy())))
+        return res
+
+    monkeypatch.setattr(SimplexEngine, "solve", solve_logged)
+    prob = build_thermostat_mpc((21.14, 21.19, 20.27, 20.01), OFF, 8)
+    res = solve(prob, SolveOptions(node_limit=32))
+
+    def pinned(lb, ub, prev):
+        plb, pub = prev[:2]
+        return (np.all(lb[prob.is_int] == ub[prob.is_int])
+                and np.all((lb >= plb) & (ub <= pub))
+                and np.count_nonzero((lb != plb) | (ub != pub)) > 1)
+
+    nodes = [calls[0]] + [c for prev, c in zip(calls, calls[1:]) if not pinned(*c[:2], prev)]
+    assert len(nodes) == res.nodes_explored == 32
+    assert len(calls) > len(nodes)  # the run makes pinned re-solves
+    for i, (lb, ub, start, _) in enumerate(nodes[1:], 1):
+        parents = [end for plb, pub, _, end in nodes[:i]
+                   if np.all((plb <= lb) & (ub <= pub))
+                   and np.count_nonzero((plb != lb) | (pub != ub)) == 1]
+        assert len(parents) == 1
+        np.testing.assert_array_equal(start[0], parents[0][0])
+        np.testing.assert_array_equal(start[1], parents[0][1])
+
+
+def test_bigm_n10_pivot_count(lp_log):
+    # starting each node from its parent's basis took this solve from
+    # 10,540 pivots to 1,537; deterministic, so the cap is a hard one
+    res = solve(build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 10, variant="gdp_bigm"))
+    assert res.status is SolveStatus.OPTIMAL
+    assert sum(r.iterations for _, r in lp_log) < 5000

@@ -25,6 +25,12 @@ def tiny(**kw) -> GapStudyConfig:
     return GapStudyConfig(**base)
 
 
+@pytest.fixture(scope="module")
+def tiny_report():
+    """The tiny() report, computed once for the tests that only read it."""
+    return run_gap_study(tiny())
+
+
 def report_bytes(report) -> bytes:
     buf = io.StringIO()
     write_report(report, buf)
@@ -62,12 +68,11 @@ def test_gap_formula_and_floor():
     assert GAP_FLOOR < 1e-3
 
 
-def test_tiny_study_structure():
-    report = run_gap_study(tiny())
-    assert report["config"]["seed"] == 11
-    assert report["config"]["horizons"] == [30]
-    assert len(report["instances"]) == 3
-    for row in report["instances"]:
+def test_tiny_study_structure(tiny_report):
+    assert tiny_report["config"]["seed"] == 11
+    assert tiny_report["config"]["horizons"] == [30]
+    assert len(tiny_report["instances"]) == 3
+    for row in tiny_report["instances"]:
         assert row["N"] == 30
         assert len(row["x0"]) == 4
         assert isinstance(row["excluded"], bool)
@@ -77,7 +82,7 @@ def test_tiny_study_structure():
                 assert row[key]["gap_percent"] >= 0.0
         else:
             assert row["reason"]
-    agg = report["aggregate"][0]
+    agg = tiny_report["aggregate"][0]
     assert agg["instances_used"] + agg["instances_excluded"] == 3
 
 
@@ -91,12 +96,12 @@ def test_node_starvation_rows_are_excluded_with_diagnostic():
 # sha256 of the tiny() report; a change that leaves the pivot order and
 # the study alone keeps it
 TINY_REPORT_SHA256 = (
-    "b7875663fbcfd36772dbf6c9b075a38e9c28c1ae684b4f93626ac78c4af88334"
+    "d2df1893aeb5ea445488a66918071689d4c1e7bb2c431e4e6378bd9c494e8c3d"
 )
 
 
-def test_reports_are_byte_deterministic():
-    a = report_bytes(run_gap_study(tiny()))
+def test_reports_are_byte_deterministic(tiny_report):
+    a = report_bytes(tiny_report)
     b = report_bytes(run_gap_study(tiny()))
     assert a == b
     assert hashlib.sha256(a).hexdigest() == TINY_REPORT_SHA256

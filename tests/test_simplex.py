@@ -1,5 +1,6 @@
 """LP engine against closed-form answers and the scipy oracle."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -119,6 +120,24 @@ def test_basis_snapshot_roundtrip():
     other.load_basis(snap)
     res2 = other.solve()
     assert res2.objective == pytest.approx(res.objective, abs=1e-12)
+
+
+def test_load_basis_rejects_a_snapshot_of_another_shape():
+    x0 = (20.5, 20.8, 19.5, 20.1)
+    small = SimplexEngine(build_thermostat_mpc(x0, OFF, 5))
+    assert small.solve(warm=False).status is LpStatus.OPTIMAL
+    eng = SimplexEngine(build_thermostat_mpc(x0, OFF, 10))
+    want = eng.solve(warm=False)
+    snap, own = small.snapshot_basis(), eng.snapshot_basis()
+    for bad in (snap, Basis(own.basis, snap.vstat), Basis(snap.basis, own.vstat)):
+        with pytest.raises(ValueError) as err:
+            eng.load_basis(bad)
+        for shape in (bad.basis.shape, bad.vstat.shape, own.basis.shape, own.vstat.shape):
+            assert str(shape) in str(err.value)
+    # nothing was loaded: the engine still holds its own optimal basis
+    again = eng.solve()
+    assert again.iterations == 0
+    assert again.objective == pytest.approx(want.objective, rel=1e-12)
 
 
 def test_determinism_same_pivot_sequence():
@@ -268,15 +287,22 @@ def test_phase_one_without_a_step_ends_at_iteration_limit(monkeypatch):
     assert calls == [0]
 
 
-def test_singular_bland_pivot_in_cold_path_stops_bnb_cleanly(monkeypatch):
-    # Bland's ratio test takes a near-zero pivot here and the next
-    # refactorization finds the basis singular; the root LP gives up
+def test_bland_ratio_test_takes_the_largest_tied_pivot(monkeypatch, lp_log):
+    # on this root LP the lowest basic index among Bland's tied rows is a
+    # 1.1e-8 pivot against a column maximum of 215, which left the basis
+    # singular; the largest tied pivot closes the B&B at the optimum that
+    # the default rule finds, and every node LP agrees with HiGHS
     monkeypatch.setattr(dmpc.simplex, "BLAND_AFTER", 3)
     prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 5)
     res = bnb_solve(prob, SolveOptions(node_limit=30))
-    assert res.status is SolveStatus.FEASIBLE_LIMIT
-    assert res.objective is None
-    assert res.nodes_explored == 1
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(5029.264997, abs=1e-6)
+    assert_agree_with_highs(lp_log)
+    ints = np.round(res.point[prob.is_int])
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    lb[prob.is_int] = ub[prob.is_int] = ints
+    pinned = highs_lp(dataclasses.replace(prob, lb=lb, ub=ub))
+    assert res.objective == pytest.approx(pinned.objective, abs=1e-6, rel=1e-6)
 
 
 def random_lp_with_open_bounds(rng):
@@ -315,8 +341,8 @@ def assert_agree_with_highs(log):
 # random LPs with 4 warm re-solves each. A change that keeps every pivot
 # keeps each digest; a change to one lowering moves only its own.
 LP_RESULTS = {
-    "hull": (89, "d2b0ec89b1e1e6823281c045bb6b6c965bd2fdea14e7366efc3bf6d9eb777c34"),
-    "bigm": (108, "63a2e3ebd7eaa84d066feebd1d2087d3019b8c62ae9d8ce9e81a6079adf87bb1"),
+    "hull": (94, "a00260fa125653ccb1aac0b5a40c501a75f0ac0accf31543713d4c295685fc41"),
+    "bigm": (116, "768641623778804b47f5514e9aa345a105ee314496d27a0e481cf24c4ccd4c01"),
     "random": (300, "2a01374cc484ecc4ab70f1196fdc58eed47072a455088737039c08815e2ac4a2"),
 }
 
@@ -353,8 +379,8 @@ def test_lp_results_pin(lp_log):
 def test_lp_results_pin_under_bland(monkeypatch, lp_log):
     # the runs above never reach Bland's rule; here it switches on after
     # three degenerate pivots of the cold primal, its only user, and takes
-    # 48 steps in the big-M runs (the hull root LPs end at the iteration
-    # limit, tested above)
+    # 51 steps in these big-M runs (an N=5 hull run is tested in
+    # test_bland_ratio_test_takes_the_largest_tied_pivot)
     monkeypatch.setattr(dmpc.simplex, "BLAND_AFTER", 3)
     for N in (5, 10):
         for s0 in (OFF, ON):
@@ -363,4 +389,4 @@ def test_lp_results_pin_under_bland(monkeypatch, lp_log):
             bnb_solve(prob, SolveOptions(node_limit=30))
     assert_agree_with_highs(lp_log)
     assert lp_digest(lp_log) == (
-        110, "e0254d836983a5a4545badc64116e0d3932ee15674ab03756e0ec1811183036d")
+        107, "a0b3bc8431644bccf2dce0b6f002f04242495ab071494b470d6a573dec7cce53")

@@ -171,14 +171,14 @@ def test_apply_sequence_path_runs_and_audits():
     assert len(trace.solves) == 4
     assert audit_trace(trace, sc.params.gamma) == []
     assert _sha(trace) == (
-        "2dfeb0df12288ca3c82a9511b4441e2e2e7721179c336863100449b280a44e4e"
+        "02bf1853485a3bbd2f2c5a04dac6b11bd0ddd68f0cad1c50ea83dd42cbd0eb92"
     )
 
 
 # sha256 of the trace CSV below; a change that leaves the pivot order and
 # the plant alone keeps it
 DMPC_TRACE_SHA256 = (
-    "b0ae1e325a6a49371c669cc77c04ad1f657d83e95f1156e501b3e7bf0116c5c2"
+    "8298a2cde22cad7785310387182cf995e5c500d1564351102c78c0a749e4d750"
 )
 
 
@@ -192,7 +192,7 @@ def test_dmpc_determinism():
 
 # big-M D-MPC trace CSV sha256, pinned like DMPC_TRACE_SHA256 above
 BIGM_TRACE_SHA256 = (
-    "b080faf0e0a5ac01df02f70194a3669e484b0444ae6e030e60ba345046ddb387"
+    "43a9c170ee25a04cd5c2596b96afd20eee30e34c264d070d09bdb129b2c236d6"
 )
 
 
