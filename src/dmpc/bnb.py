@@ -9,8 +9,8 @@ the dual simplex from its parent's optimal basis, one bound edit away.
 Nodes are kept lazily: a node is enqueued as the chain of bound changes
 along its path plus its parent's LP value and a snapshot of its parent's
 optimal basis, which both children share, and is only solved when it is
-dequeued. The snapshot is loaded into the engine unless the engine still
-holds it, that is, unless the last LP solved was the parent's.
+dequeued. Loading the snapshot resumes the parent's factorization too,
+when it was fresh, so a node starts exactly where its parent's LP ended.
 ``nodes_explored`` counts dequeued-and-solved nodes, so the root counts
 as 1 and nodes pruned by bound before solving do not count.
 """
@@ -111,8 +111,7 @@ def solve(
     Passing ``engine`` reuses an existing simplex engine (and its basis)
     for the root solve, which is how the closed-loop controller and the
     gap study warm-start consecutive instances. Every other node starts
-    from its parent's optimal basis, which is loaded into the engine
-    unless the parent's LP was the last one solved.
+    from its parent's optimal basis and factorization.
     """
     opts = options or SolveOptions()
     diagnostics = problem.validate()
@@ -132,11 +131,9 @@ def solve(
 
     # every way out of the loop but exhaustion leaves the open nodes on
     # the heap, and its top is then the global bound
-    # entries are (bound, seq, changes, parent basis); held is the snapshot
-    # of the LP the engine solved last, while it still holds that basis
+    # entries are (bound, seq, changes, parent snapshot); the root has none
     heap: list = [(-math.inf, 0, (), None)]
     seq = 1
-    held = None
 
     while heap:
         if opts.node_limit is not None and nodes >= opts.node_limit:
@@ -157,11 +154,10 @@ def solve(
         for col, lo, hi in changes:
             lb[col], ub[col] = lo, hi
 
-        if start is not None and start is not held:
+        if start is not None:
             eng.load_basis(start)
         res = eng.solve(lb=lb, ub=ub, warm=True)
         nodes += 1
-        held = None
 
         if res.status == LpStatus.ITERATION_LIMIT:
             heapq.heappush(heap, node)
@@ -176,7 +172,7 @@ def solve(
         if incumbent is not None and val >= z - 1e-9:
             continue
 
-        snap = held = eng.snapshot_basis()  # before any pinned re-solve
+        snap = eng.snapshot_basis()  # before any pinned re-solve
         x = res.point
         dist = np.abs(x[int_cols] - np.round(x[int_cols])) if int_cols.size else np.empty(0)
         dmax = float(dist.max(initial=0.0))
@@ -192,7 +188,6 @@ def solve(
                 plb[int_cols] = rvals
                 pub[int_cols] = rvals
                 pres = eng.solve(lb=plb, ub=pub, warm=True)
-                held = None
                 if pres.status == LpStatus.OPTIMAL:
                     cand_val, cand_pt = pres.objective, pres.point
                     branch_anyway = cand_val > val + 1e-9

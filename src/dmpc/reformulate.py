@@ -1,8 +1,9 @@
 """Lowering of GDP models to mixed-integer linear programs.
 
 Two reformulations are provided. Both introduce one binary indicator per
-disjunct, an exactly-one row per disjunction, and one row per CNF clause.
-They differ in how local constraints are gated:
+disjunct and an exactly-one row per disjunction; unit clauses become
+indicator bounds, and every other CNF clause one row. They differ in how
+local constraints are gated:
 
 * big-M: each local row ``r(y) <= 0`` becomes ``r(y) <= M (1 - s)``, with
   ``M`` either a fixed value or computed exactly as the supremum of the
@@ -123,7 +124,11 @@ def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
     Rows are the global rows, then per disjunction the rows that generator
     yields followed by its exactly-one row, then the CNF rows. They are
     collected as (row, column, value) triplets and scattered once into the
-    dense ``A``.
+    dense ``A``. A unit clause fixes its indicator through its bound
+    (``ub = 0`` for a negative literal, ``lb = 1`` for a positive one)
+    instead of a row, unless the bound it would set is already out of the
+    indicator's range; then it stays a row and the MILP stays infeasible
+    rather than turning invalid.
     """
     labels = [v.name for v in model.variables]
     lb, ub = map(list, model.bounds())
@@ -164,9 +169,15 @@ def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
             emit(*row)
         emit(dict.fromkeys(s, 1.0), Relation.EQ, 1.0, f"xor[{d}]")
 
-    for k, (coeffs, b) in enumerate(
-        cnf_to_linear(model.propositions, ind_map)
-    ):
+    clauses = []
+    for clause in model.propositions:
+        (ref, positive), *more = clause.literals
+        col = ind_map[ref]
+        if not more and lb[col] <= positive <= ub[col]:
+            (lb if positive else ub)[col] = float(positive)
+        else:
+            clauses.append(clause)
+    for k, (coeffs, b) in enumerate(cnf_to_linear(clauses, ind_map)):
         emit(coeffs, Relation.LE, b, f"cnf[{k}]")
 
     n, n_tot = model.n_vars, len(labels)

@@ -27,6 +27,14 @@ k etas is one triangular solve and one matrix-vector product:
     FTRAN   v = B0^-1 a;   t = L^-1 v[P];          v -= G^T t
     BTRAN   t = L^-T (G c); c[P] -= t (repeats add); y = B0^-T c
 
+A :class:`Basis` snapshot taken while the factorization is fresh carries
+it: the LU object, which is read-only once built and so can be shared,
+the first k rows of ``G``, ``P`` and ``L``, and a token naming the ``K``
+those factors belong to. Loading the snapshot back into the engine that
+took it, while ``K`` is unchanged, resumes that factorization instead of
+refactoring; any other load refactors. This is how a branch-and-bound
+node resumes its parent's LP.
+
 The primal prices by Dantzig (most negative reduced cost), with Bland's
 rule, the engine's only anti-cycling rule, after a run of degenerate
 pivots: the lowest-index improving column enters, and the largest pivot
@@ -36,7 +44,10 @@ dual feasibility of an optimal basis, which makes the engine cheap to
 reuse across branch-and-bound nodes and across perturbed MPC instances.
 Every way a warm re-solve can give up (a singular basis, a stall, a spent
 budget, a point that fails verification, ...) is a None returned to
-``solve()``, the one place that falls back to a cold two-phase run.
+``solve()``, the one place that falls back, in this order: warm from the
+carried factorization, then warm once more from the same basis freshly
+refactored (only if the first try started on a non-empty eta file), then
+a cold two-phase run.
 
 Both loops keep an entering direction per column: +1 for a column at its
 lower bound with room above it, -1 for one at its upper bound, 0 for
@@ -106,10 +117,17 @@ class LpResult:
 
 @dataclass
 class Basis:
-    """Snapshot of a basis: basic column indices plus all column statuses."""
+    """Snapshot of a basis: basic column indices plus all column statuses.
+
+    ``factor`` is ``(token, lu, G, P, L)``, the factorization of the basis
+    with its k etas (the rows ``G[:k]``, ``P[:k]`` and the packed
+    ``L[:k(k+1)/2]``), when the snapshot was taken on a fresh one; None
+    otherwise.
+    """
 
     basis: np.ndarray
     vstat: np.ndarray
+    factor: tuple | None = None
 
 
 def check_point(problem: MilpProblem, point) -> float:
@@ -173,6 +191,7 @@ class SimplexEngine:
         self.vstat = np.empty(self.nt, dtype=np.int8)
         self.x = np.zeros(self.nt)
         self._lu = None
+        self._token = object()  # names this K; renewed when K changes
         # eta file: G rows g_i, pivot rows P, L packed by rows; k etas in use
         self._G = np.empty((ETA_MAX, m))
         self._P = np.empty(ETA_MAX, dtype=np.int64)
@@ -287,13 +306,20 @@ class SimplexEngine:
     # ---------------------------------------------------------- public API
 
     def snapshot_basis(self) -> Basis:
-        return Basis(self.basis.copy(), self.vstat.copy())
+        factor = None
+        if self._fresh:
+            k = self._k
+            factor = (self._token, self._lu, self._G[:k].copy(),
+                      self._P[:k].copy(), self._L[: k * (k + 1) // 2].copy())
+        return Basis(self.basis.copy(), self.vstat.copy(), factor)
 
     def load_basis(self, snap: Basis):
         """Make ``snap`` the basis of the next warm solve.
 
-        Raises ValueError when its shapes do not fit this engine's
-        ``m`` rows and ``n + 2m`` columns.
+        Its factorization is resumed when this engine took it on the
+        current ``K``; otherwise the next solve refactors. Raises
+        ValueError when its shapes do not fit this engine's ``m`` rows and
+        ``n + 2m`` columns.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
             raise ValueError(
@@ -304,14 +330,23 @@ class SimplexEngine:
         self.basis = snap.basis.copy()
         self.vstat = snap.vstat.copy()
         self._have_basis = True
-        self._fresh = False
+        self._fresh = snap.factor is not None and snap.factor[0] is self._token
+        if self._fresh:
+            # k, P, G and L together: tpsv reads k(k+1)/2 entries of L
+            _, self._lu, G, P, L = snap.factor
+            k = self._k = P.size
+            self._G[:k] = G
+            self._P[:k] = P
+            self._L[: L.size] = L
 
     def solve(self, lb=None, ub=None, warm: bool = True) -> LpResult:
         """Solve with optionally overridden structural bounds.
 
         With ``warm`` true and a basis left over from an earlier optimal
-        solve, re-solves with the dual simplex; otherwise runs the
-        two-phase primal from an artificial start.
+        solve, re-solves with the dual simplex; otherwise, or if that gives
+        up, runs the two-phase primal from an artificial start. A dual that
+        started on carried etas and gave up is retried once from the same
+        basis, freshly refactored, within the same pivot budget.
         """
         p = self.problem
         self.lb[: self.n] = p.lb if lb is None else lb
@@ -322,7 +357,14 @@ class SimplexEngine:
             return LpResult(LpStatus.INFEASIBLE, None, None, 0)
         if self.m == 0:  # the only path without a basis
             return self._solve_unconstrained()
-        res = self._dual_solve() if warm and self._have_basis else None
+        res = None
+        if warm and self._have_basis:
+            carried = self._fresh and self._k > 0
+            start = Basis(self.basis.copy(), self.vstat.copy()) if carried else None
+            res = self._dual_solve()
+            if res is None and carried:
+                self.load_basis(start)  # without its factor: refactors
+                res = self._dual_solve()
         return res or self._cold_solve()
 
     # ------------------------------------------------------------ cold path
@@ -351,6 +393,7 @@ class SimplexEngine:
 
         r = self.b - self.K @ x  # the artificials are still at zero
         self.K.data[self.K.indptr[n + m] :] = np.where(r >= 0, 1.0, -1.0)
+        self._token = object()  # factors of the old signs no longer apply
         arts = np.arange(n + m, n + 2 * m)
         x[arts] = np.abs(r)
         stat[arts] = _BASIC

@@ -236,13 +236,13 @@ def build_thermostat_gdp(
             disjuncts.append(Disjunct(f"t{t}_m{mode.id}", tuple(rows), 0.0))
         disjunctions.append(Disjunction(tuple(disjuncts)))
 
-    # initial relay state admits only the two modes whose s_now matches
-    admissible = tuple(
-        i for i, mode in enumerate(OPERATING_MODES) if mode.s_now == s0
+    # the initial relay state rules out the two modes whose s_now differs:
+    # one negative unit clause each, which the lowerings turn into bounds,
+    # so a relay flip between plans moves bounds and no row
+    clauses = tuple(
+        CnfClause(((IndicatorRef(0, i), False),))
+        for i, mode in enumerate(OPERATING_MODES) if mode.s_now != s0
     )
-    clauses = (CnfClause(tuple(
-        (IndicatorRef(0, i), True) for i in admissible
-    )),)
 
     obj = {lay.u_index(t): p.alpha for t in range(N)}
     for t in range(1, N + 1):

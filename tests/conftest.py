@@ -102,6 +102,27 @@ def lp_log(monkeypatch):
     return log
 
 
+@pytest.fixture
+def restored_starts(lp_log, monkeypatch):
+    """For each solve in ``lp_log``, in order, whether it started from a
+    factorization that ``load_basis`` restored from a snapshot."""
+    starts = []
+    real_load, logged_solve = SimplexEngine.load_basis, SimplexEngine.solve
+
+    def load_basis(self, snap):
+        real_load(self, snap)
+        self.restored_by_load = self._fresh
+
+    def solve(self, *args, **kwargs):
+        starts.append(getattr(self, "restored_by_load", False))
+        self.restored_by_load = False
+        return logged_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplexEngine, "load_basis", load_basis)
+    monkeypatch.setattr(SimplexEngine, "solve", solve)
+    return starts
+
+
 def two_box_model(costs=(1.0, 3.0), extra_global=()):
     """One variable, two disjuncts pinning it into [0,1] or [4,5]."""
     return GdpModel(

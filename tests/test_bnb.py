@@ -125,22 +125,26 @@ def test_random_milps_match_scipy(seed):
 
 
 @pytest.mark.parametrize("variant", ["hull", "bigm"])
-def test_node_lps_certify_optimality(lp_log, variant):
-    # lp_log certifies every OPTIMAL node LP from its final basis
-    prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 5, variant=variant)
+def test_node_lps_certify_optimality(lp_log, restored_starts, variant):
+    # lp_log certifies every OPTIMAL node LP from its final basis, also
+    # those that resumed their parent's factorization. At N=5 the hull
+    # tree closes after 7 nodes and 9 LPs, so the horizon is 6
+    prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 6, variant=variant)
     solve(prob, SolveOptions(node_limit=40))
-    assert sum(r.status is LpStatus.OPTIMAL for _, r in lp_log) >= 10
+    optimal = [r.status is LpStatus.OPTIMAL for _, r in lp_log]
+    assert sum(optimal) >= 10
+    assert sum(ok and restored for ok, restored in zip(optimal, restored_starts)) >= 20
 
 
 # exact results of two N=8 hull solves; the node-limited one stops with an
-# open node below the incumbent (it first has one at node 20), the other
-# closes the gap on a popped node
+# open node below the incumbent (it first has one at node 14, and closes
+# at node 29 without the limit), the other closes the gap on a popped node
 @pytest.mark.parametrize("x0, node_limit, expected", [
-    ((21.14, 21.19, 20.27, 20.01), 32,
-     (SolveStatus.FEASIBLE_LIMIT, 8841.97916655218, 6184.553458101736, 32,
-      30.054647928860415)),
+    ((21.14, 21.19, 20.27, 20.01), 28,
+     (SolveStatus.FEASIBLE_LIMIT, 8841.979166507406, 7348.250266232973, 28,
+      16.893603481136203)),
     ((20.5, 20.8, 19.5, 20.1), None,
-     (SolveStatus.OPTIMAL, 9162.175608963877, 9162.175608963877, 65, 0.0)),
+     (SolveStatus.OPTIMAL, 9162.175608604346, 9162.175608604346, 61, 0.0)),
 ])
 def test_exit_rule_pins(x0, node_limit, expected):
     res = solve(build_thermostat_mpc(x0, OFF, 8), SolveOptions(node_limit=node_limit))
@@ -165,7 +169,7 @@ def test_nodes_start_from_parent_basis(monkeypatch):
 
     monkeypatch.setattr(SimplexEngine, "solve", solve_logged)
     prob = build_thermostat_mpc((21.14, 21.19, 20.27, 20.01), OFF, 8)
-    res = solve(prob, SolveOptions(node_limit=32))
+    res = solve(prob, SolveOptions(node_limit=28))
 
     def pinned(lb, ub, prev):
         plb, pub = prev[:2]
@@ -174,7 +178,7 @@ def test_nodes_start_from_parent_basis(monkeypatch):
                 and np.count_nonzero((lb != plb) | (ub != pub)) > 1)
 
     nodes = [calls[0]] + [c for prev, c in zip(calls, calls[1:]) if not pinned(*c[:2], prev)]
-    assert len(nodes) == res.nodes_explored == 32
+    assert len(nodes) == res.nodes_explored == 28
     assert len(calls) > len(nodes)  # the run makes pinned re-solves
     for i, (lb, ub, start, _) in enumerate(nodes[1:], 1):
         parents = [end for plb, pub, _, end in nodes[:i]

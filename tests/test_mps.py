@@ -243,14 +243,15 @@ def test_reader_rejects_range_for_unknown_row():
 
 
 # sha256 of A.tobytes() and of the export_mps text for the N=5 thermostat
-# model at x0=(20.5, 20.8, 19.5, 20.1), relay ON. The hull pair was
-# recorded when the pinned heat inputs lost their disaggregated copies; a
-# refactor that leaves the model alone keeps both.
+# model at x0=(20.5, 20.8, 19.5, 20.1), relay ON. Both pairs were recorded
+# when the relay state became FX 0 bounds on the two ruled-out modes of
+# period 0 in place of a clause row; a refactor that leaves the model alone
+# keeps both.
 GOLDEN = {
-    "hull": ("01afea83c54c0ebdebda37e1589be82d80ff9b3defe26f9c3a9d17bc21fc3b88",
-             "79f6d0f930154da1d7df98406ce23593cf7f5f1deda64a9d3b70e4cea2eb9b01"),
-    "bigm": ("39df73a76adf06db0f7aa789d39103c2b31a49f2c451ae8a1a215edad6488f0d",
-             "a2edd4a28e8ce0ed0a4f152a1fd139221e3ed051e04b9b777e40739202d2affb"),
+    "hull": ("0566e6e5b7e303bf69467a6914f4ecc3cfdfe50c67db076940698fb4bbae4b9b",
+             "18692f9280a9f9d313183b56135a382f74f949eb506a927d7297f0ad80899252"),
+    "bigm": ("257b507fd0163322af48e50e2bd86ce893f43e99f355eed119de46be965eb420",
+             "160a7902fb7ab525b0fde931053a6343ba1c044a051c9c7f1a6516df803d3ffd"),
 }
 
 

@@ -13,7 +13,9 @@ from dmpc.bnb import SolveStatus, relaxation_bound, solve
 from dmpc.cli import highs_lp
 from dmpc.gdp import (
     AffineExpr,
+    CnfClause,
     Disjunction,
+    IndicatorRef,
     LinConstraint,
     Variable,
     brute_force_solve,
@@ -28,7 +30,13 @@ from dmpc.reformulate import (
     to_bigm,
     to_hull,
 )
-from dmpc.thermostat import OFF, ON, build_thermostat_gdp, build_thermostat_mpc
+from dmpc.thermostat import (
+    OFF,
+    ON,
+    OPERATING_MODES,
+    build_thermostat_gdp,
+    build_thermostat_mpc,
+)
 
 from conftest import two_box_model
 
@@ -83,6 +91,76 @@ def test_cnf_rows_cut_off_forbidden_selection():
     assert sum(c * s[j] for j, c in coeffs.items()) > rhs + 1e-12
     s[3] = 0.0
     assert sum(c * s[j] for j, c in coeffs.items()) <= rhs + 1e-12
+
+
+def test_unit_clauses_lower_to_indicator_bounds():
+    # three copies of the two-box disjunction; s[0,1] is ruled out, s[1,0]
+    # forced, and one two-literal clause couples s[2,0] and s[0,0]
+    base = two_box_model()
+    model = dataclasses.replace(
+        base,
+        disjunctions=base.disjunctions * 3,
+        propositions=(
+            CnfClause(((IndicatorRef(0, 1), False),)),
+            CnfClause(((IndicatorRef(1, 0), True),)),
+            CnfClause(((IndicatorRef(2, 0), True), (IndicatorRef(0, 0), False))),
+        ),
+    )
+    for prob in (to_bigm(model), to_hull(model)):
+        cols = indicator_columns(prob)
+        assert prob.ub[cols[IndicatorRef(0, 1)]] == 0.0
+        assert prob.lb[cols[IndicatorRef(1, 0)]] == 1.0
+        untouched = [c for ref, c in cols.items()
+                     if ref not in (IndicatorRef(0, 1), IndicatorRef(1, 0))]
+        assert np.all(prob.lb[untouched] == 0.0) and np.all(prob.ub[untouched] == 1.0)
+        cnf = [i for i, label in enumerate(prob.row_labels) if label.startswith("cnf")]
+        assert [prob.row_labels[i] for i in cnf] == ["cnf[0]"]
+        (coeffs, rhs), = cnf_to_linear(model.propositions[2:], cols)
+        want = np.zeros(prob.n_vars)
+        want[list(coeffs)] = list(coeffs.values())
+        np.testing.assert_array_equal(prob.A[cnf[0]], want)
+        assert prob.b[cnf[0]] == rhs and prob.relations[cnf[0]] == Relation.LE
+        assert solve(prob).objective == pytest.approx(brute_force_solve(model).objective)
+
+
+def test_contradicted_unit_clause_stays_a_row():
+    # s[0,1] and not s[0,1]: the second clause cannot become a bound, so the
+    # MILP stays valid and is infeasible, as the model is
+    model = dataclasses.replace(two_box_model(), propositions=(
+        CnfClause(((IndicatorRef(0, 1), False),)),
+        CnfClause(((IndicatorRef(0, 1), True),)),
+    ))
+    assert brute_force_solve(model).status is SolveStatus.INFEASIBLE
+    for prob in (to_bigm(model), to_hull(model)):
+        assert prob.validate() == []
+        assert prob.row_labels[-1] == "cnf[0]"
+        assert solve(prob).status is SolveStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("variant", ["hull", "bigm"])
+def test_relay_bounds_keep_the_root_bound(variant):
+    # the relay state as ub = 0 on the two ruled-out modes relaxes to the
+    # same LP as the clause row over the two admitted modes that it replaced
+    for N in (5, 10, 30):
+        for s0 in (OFF, ON):
+            for x0 in ((20.5, 20.8, 19.5, 20.1), (21.14, 21.19, 20.27, 20.01)):
+                prob = build_thermostat_mpc(x0, s0, N, variant=variant)
+                cols = indicator_columns(prob)
+                admitted = [cols[IndicatorRef(0, i)] for i, mode in enumerate(OPERATING_MODES)
+                            if mode.s_now == s0]
+                barred = [cols[IndicatorRef(0, i)] for i, mode in enumerate(OPERATING_MODES)
+                          if mode.s_now != s0]
+                assert np.all(prob.ub[barred] == 0.0)
+                row = np.zeros(prob.n_vars)
+                row[admitted] = -1.0  # s + s' >= 1
+                ub = prob.ub.copy()
+                ub[barred] = 1.0
+                old = dataclasses.replace(
+                    prob, A=np.vstack([prob.A, row]), b=np.append(prob.b, -1.0),
+                    relations=np.append(prob.relations, Relation.LE), ub=ub,
+                    row_labels=prob.row_labels + ["cnf[0]"])
+                got, want = highs_lp(prob).objective, highs_lp(old).objective
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -201,22 +279,27 @@ def test_pinned_variable_hull_matches_disaggregated_hull():
 
 def test_thermostat_hull_has_no_heat_input_copies():
     prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 10)
-    assert prob.A.shape == (275, 195)
+    assert prob.A.shape == (274, 195)
     assert not [label for label in prob.labels
                 if label.startswith("u[") and "@d" in label]
 
 
-def _lowering_digest() -> str:
+@pytest.fixture(scope="module")
+def lowering_digests() -> dict:
     """sha256 over every array (bytes and shape), ``obj_const``, ``labels``
     and ``row_labels`` of 924 lowerings: 300 random models and the N = 1,
     3, 10, 30 thermostat at both relay states, each under hull, fixed
-    big-M and from-bounds big-M."""
+    big-M and from-bounds big-M; and the same over the random models'
+    900 alone."""
     h = hashlib.sha256()
     rng = np.random.default_rng(924)
     models = [random_gdp(rng) for _ in range(300)]
     models += [build_thermostat_gdp(np.array([20.5, 20.8, 19.5, 20.1]), s0, N)
                for N in (1, 3, 10, 30) for s0 in (OFF, ON)]
-    for model in models:
+    digests = {}
+    for k, model in enumerate(models):
+        if k == 300:
+            digests["random"] = h.hexdigest()
         for prob in (to_hull(model), to_bigm(model, BigMStrategy.fixed(1e4)),
                      to_bigm(model, BigMStrategy.from_bounds())):
             for arr in (prob.c, prob.A, prob.relations, prob.b, prob.lb,
@@ -225,13 +308,21 @@ def _lowering_digest() -> str:
                 h.update(np.ascontiguousarray(arr).tobytes())
             h.update(repr((prob.obj_const, prob.labels,
                            prob.row_labels)).encode())
-    return h.hexdigest()
+    digests["all"] = h.hexdigest()
+    return digests
 
 
-# recorded before `_lower` became the one owner of the columns; a refactor
-# of the lowerings that leaves every model alone keeps it
-LOWERING_SHA256 = "059d9bc987b0f560e2db231be9e9e3421b78093362d1c97ba9f826f99b2c472e"
+# recorded when the relay state became indicator bounds; a refactor of the
+# lowerings that leaves every model alone keeps it
+LOWERING_SHA256 = "9b3b37028625be701e48adbd5059dd613c8ad461f6c1c575a75406b4709a7aa0"
+# the random models alone, unchanged since before `_lower` became the one
+# owner of the columns: they have no unit clauses
+RANDOM_LOWERING_SHA256 = "08d0582fc9845ae3dc4c6b6d9d36cc99564c9737f3c8d8864ab35768310ca2b4"
 
 
-def test_lowerings_pin():
-    assert _lowering_digest() == LOWERING_SHA256
+def test_lowerings_pin(lowering_digests):
+    assert lowering_digests["all"] == LOWERING_SHA256
+
+
+def test_random_lowerings_pin(lowering_digests):
+    assert lowering_digests["random"] == RANDOM_LOWERING_SHA256

@@ -140,6 +140,101 @@ def test_load_basis_rejects_a_snapshot_of_another_shape():
     assert again.objective == pytest.approx(want.objective, rel=1e-12)
 
 
+def pinned(prob, col, val):
+    """The problem's bounds with column ``col`` fixed at ``val``."""
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    lb[col] = ub[col] = val
+    return lb, ub
+
+
+def carried_snapshot():
+    """An N=5 hull problem, and an engine with a snapshot of its warm
+    re-solve, taken on a fresh factorization with a non-empty eta file."""
+    prob = build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 5)
+    eng = SimplexEngine(prob)
+    assert eng.solve(warm=False).status is LpStatus.OPTIMAL
+    assert eng.solve(*pinned(prob, np.flatnonzero(prob.is_int)[3], 0.0)).iterations > 0
+    snap = eng.snapshot_basis()
+    assert snap.factor is not None and snap.factor[3].size == eng._k > 0
+    return prob, eng, snap
+
+
+def test_snapshot_resumes_its_factorization_only_in_its_own_engine(monkeypatch):
+    prob, eng, snap = carried_snapshot()
+    child = pinned(prob, np.flatnonzero(prob.is_int)[6], 1.0)
+    refactors = []
+    real_refactor = SimplexEngine._refactor
+
+    def refactor(self):
+        refactors.append(self)
+        real_refactor(self)
+
+    monkeypatch.setattr(SimplexEngine, "_refactor", refactor)
+
+    def resolve(engine, start):
+        """Solve ``child`` from ``start``; the result and the refactor count."""
+        engine.load_basis(start)
+        refactors.clear()
+        res = engine.solve(*child)
+        assert res.status is LpStatus.OPTIMAL
+        assert_certified(engine)
+        return res, len(refactors)
+
+    eng.solve(*pinned(prob, np.flatnonzero(prob.is_int)[5], 1.0))  # move away
+    resumed, n_resumed = resolve(eng, snap)
+    fresh, n_fresh = resolve(eng, Basis(snap.basis, snap.vstat))
+    assert (n_resumed, n_fresh) == (0, 1)
+    assert resumed.objective == pytest.approx(fresh.objective, rel=1e-9, abs=0.0)
+    # another engine has other factors, and a cold start changes K's signs
+    assert resolve(SimplexEngine(prob), snap)[1] == 1
+    eng.solve(warm=False)
+    assert resolve(eng, snap)[1] == 1
+
+
+def test_warm_solve_retries_fresh_before_going_cold(monkeypatch):
+    prob, eng, snap = carried_snapshot()
+    child = pinned(prob, np.flatnonzero(prob.is_int)[6], 1.0)
+    fresh = SimplexEngine(prob)
+    fresh.load_basis(Basis(snap.basis, snap.vstat))
+    want = fresh.solve(*child)
+    real_dual, real_cold = SimplexEngine._dual_solve, SimplexEngine._cold_solve
+    starts, colds = [], []
+
+    def dual_solve(self):
+        starts.append((self._fresh, self._k, self.basis.copy(), self.vstat.copy()))
+        res = real_dual(self)
+        starts[-1] += (self._iters,)
+        return None if len(starts) == 1 else res  # the first try gives up
+
+    def cold_solve(self):
+        colds.append(self)
+        return real_cold(self)
+
+    monkeypatch.setattr(SimplexEngine, "_dual_solve", dual_solve)
+    monkeypatch.setattr(SimplexEngine, "_cold_solve", cold_solve)
+    eng.load_basis(snap)
+    res = eng.solve(*child)
+    assert len(starts) == 2 and not colds
+    (fresh0, k0, basis0, vstat0, iters0), (fresh1, _, basis1, vstat1, _) = starts
+    assert fresh0 and k0 > 0  # the first try ran on the carried etas
+    assert not fresh1  # the retry refactors the basis the first one started from
+    np.testing.assert_array_equal(basis1, basis0)
+    np.testing.assert_array_equal(vstat1, vstat0)
+    assert res.status is LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(want.objective, rel=1e-9, abs=0.0)
+    assert res.iterations == iters0 + want.iterations  # both tries count
+
+    # a retry that gives up too goes cold; a start that refactors anyway
+    # is not retried
+    monkeypatch.setattr(SimplexEngine, "_dual_solve", lambda self: starts.append(None))
+    for start, tries in ((snap, 2), (Basis(snap.basis, snap.vstat), 1)):
+        starts.clear()
+        colds.clear()
+        eng.load_basis(start)
+        assert eng.solve(*child).objective == pytest.approx(want.objective, rel=1e-9)
+        assert (len(starts), len(colds)) == (tries, 1)
+
+
 def test_determinism_same_pivot_sequence():
     rng = np.random.default_rng(3)
     lp = make_lp(rng.standard_normal(8),
@@ -341,8 +436,8 @@ def assert_agree_with_highs(log):
 # random LPs with 4 warm re-solves each. A change that keeps every pivot
 # keeps each digest; a change to one lowering moves only its own.
 LP_RESULTS = {
-    "hull": (94, "a00260fa125653ccb1aac0b5a40c501a75f0ac0accf31543713d4c295685fc41"),
-    "bigm": (116, "768641623778804b47f5514e9aa345a105ee314496d27a0e481cf24c4ccd4c01"),
+    "hull": (86, "8ed6bb479ee507c3ae2c1ce9d11fcb72f55f9afc2a9ca287cf2262154d6459b0"),
+    "bigm": (111, "17212b9efe4ad331e9f6392f4325b081909b691e7954725b7293d6906f86ed35"),
     "random": (300, "2a01374cc484ecc4ab70f1196fdc58eed47072a455088737039c08815e2ac4a2"),
 }
 
@@ -379,7 +474,7 @@ def test_lp_results_pin(lp_log):
 def test_lp_results_pin_under_bland(monkeypatch, lp_log):
     # the runs above never reach Bland's rule; here it switches on after
     # three degenerate pivots of the cold primal, its only user, and takes
-    # 51 steps in these big-M runs (an N=5 hull run is tested in
+    # 55 steps in these big-M runs (an N=5 hull run is tested in
     # test_bland_ratio_test_takes_the_largest_tied_pivot)
     monkeypatch.setattr(dmpc.simplex, "BLAND_AFTER", 3)
     for N in (5, 10):
@@ -389,4 +484,4 @@ def test_lp_results_pin_under_bland(monkeypatch, lp_log):
             bnb_solve(prob, SolveOptions(node_limit=30))
     assert_agree_with_highs(lp_log)
     assert lp_digest(lp_log) == (
-        107, "a0b3bc8431644bccf2dce0b6f002f04242495ab071494b470d6a573dec7cce53")
+        115, "5302a2b4c0adcb1bc87f4f342d25ec7dbac3f409c2dc21b6788ebff52df63f21")

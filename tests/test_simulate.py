@@ -20,7 +20,7 @@ from dmpc.simulate import (
     simulate_rtc,
     write_trace_csv,
 )
-from dmpc.simplex import LpStatus
+from dmpc.simplex import LpStatus, SimplexEngine
 from dmpc.thermostat import OFF, ON, ThermostatParams
 
 
@@ -138,14 +138,34 @@ def test_dmpc_short_run_audits_clean():
     assert trace.energy_kwh >= 0.0
 
 
-def test_dmpc_plans_certify_across_loaded_bases(lp_log):
+def test_dmpc_plans_certify_across_loaded_bases(lp_log, restored_starts):
     # each plan after the first starts from the basis the previous plan
-    # left, on a model whose A moved with x0; lp_log certifies every
-    # OPTIMAL LP from its final basis
-    sc = Scenario(x0=(21.14, 21.19, 20.27, 20.01), periods=8)
+    # left, on a model whose A moved with x0, and each node after a plan's
+    # root from its parent's factorization; lp_log certifies every OPTIMAL
+    # LP from its final basis. 8 periods made 159 LPs, so the run is 10
+    sc = Scenario(x0=(21.14, 21.19, 20.27, 20.01), periods=10)
     trace = simulate_dmpc(sc, N=10, M=1)
-    assert len(trace.solves) == 8
-    assert sum(r.status is LpStatus.OPTIMAL for _, r in lp_log) >= 200
+    assert len(trace.solves) == 10
+    optimal = [r.status is LpStatus.OPTIMAL for _, r in lp_log]
+    assert sum(optimal) >= 200
+    assert sum(ok and restored for ok, restored in zip(optimal, restored_starts)) >= 150
+
+
+def test_relay_flips_keep_plans_warm(monkeypatch):
+    # the relay state reaches each plan as indicator bounds, so a flip
+    # between plans is a bound change that the warm dual absorbs: the
+    # first plan's root is the run's only cold solve
+    colds = []
+    real_cold = SimplexEngine._cold_solve
+
+    def cold_solve(self):
+        colds.append(self)
+        return real_cold(self)
+
+    monkeypatch.setattr(SimplexEngine, "_cold_solve", cold_solve)
+    trace = simulate_dmpc(Scenario(x0=(20.5,) * 4, periods=10), N=4, M=1)
+    assert any(a != b for a, b in zip(trace.s, trace.s[1:]))
+    assert len(colds) == 1
 
 
 def test_dmpc_rejects_bad_window():
@@ -171,14 +191,14 @@ def test_apply_sequence_path_runs_and_audits():
     assert len(trace.solves) == 4
     assert audit_trace(trace, sc.params.gamma) == []
     assert _sha(trace) == (
-        "02bf1853485a3bbd2f2c5a04dac6b11bd0ddd68f0cad1c50ea83dd42cbd0eb92"
+        "2ed7073ff2e6d526cccb5faf7b256d2ebd3292193150ed31897dad931edd4126"
     )
 
 
 # sha256 of the trace CSV below; a change that leaves the pivot order and
 # the plant alone keeps it
 DMPC_TRACE_SHA256 = (
-    "8298a2cde22cad7785310387182cf995e5c500d1564351102c78c0a749e4d750"
+    "b6721c0505ac3e23be9d4b1a613049db1f5c8cc4352bca053a396a24f6e6d387"
 )
 
 
@@ -192,7 +212,7 @@ def test_dmpc_determinism():
 
 # big-M D-MPC trace CSV sha256, pinned like DMPC_TRACE_SHA256 above
 BIGM_TRACE_SHA256 = (
-    "43a9c170ee25a04cd5c2596b96afd20eee30e34c264d070d09bdb129b2c236d6"
+    "06aeea84f99141586c245827354645073ac74252f3f03c32cd8d559004a5f91a"
 )
 
 

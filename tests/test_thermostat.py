@@ -86,7 +86,8 @@ def test_gdp_model_validates_and_sizes():
     assert validate(model) == []
     assert len(model.disjunctions) == 3
     assert all(len(d.disjuncts) == 4 for d in model.disjunctions)
-    assert len(model.propositions) == 1  # initial relay state clause
+    # the initial relay state: one negative unit clause per mode it rules out
+    assert len(model.propositions) == 2
 
 
 def test_s0_clause_restricts_first_mode():
