@@ -77,7 +77,7 @@ def _reference_bases(config: GapStudyConfig) -> dict:
             )
             eng = SimplexEngine(prob)
             eng.solve(warm=False)
-            bases[(variant, N)] = eng.snapshot_basis()
+            bases[(variant, N)] = eng.snapshot_basis(carry=False)
     return bases
 
 

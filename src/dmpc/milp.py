@@ -1,7 +1,7 @@
 """Flat mixed-integer linear program container.
 
 The solver stack (simplex, branch and bound, MPS export) and the
-reformulations all speak this one dense representation:
+reformulations all speak this one representation:
 
     minimize    c @ x + obj_const
     subject to  A[i] @ x <= b[i]   where relations[i] == Relation.LE
@@ -13,14 +13,15 @@ Greater-or-equal rows never appear here; producers normalize them to LE by
 negation. Integrality in this package always means binary (bounds inside
 [0, 1]).
 
-``A`` is a dense ndarray even though the thermostat models are well under
-1% nonzero (the N=200 hull model is 5405 x 3805 with 14,610 nonzeros).
-The producers (both reformulations and the MPS reader) assemble it from
-(row, column, value) triplets in one scatter, and the MPS writer walks it
-column by column through one CSC copy, so no step does work per zero
-entry. Consumers that need a dense array (exact ``np.array_equal``
-round-trip checks, ``A.nbytes``, ``np.count_nonzero``) keep working; a
-scipy sparse ``A`` would break them.
+The coefficient matrix is kept as one canonical CSR, ``A_csr``: float64,
+sorted column indices, one entry per (row, column) pair and no stored
+zeros. The thermostat models are well under 1% nonzero (the N=200 hull
+model is 5404 x 3805 with 14,608 nonzeros, 165 MB dense), so the producers
+(both reformulations and the MPS reader) build it straight from their
+(row, column, value) triplets, and the MPS writer, the simplex engine and
+the checks here read it as given: no step allocates, fills or scans a
+dense matrix. ``A`` is a read-only dense view of it, built on first read
+and cached, for consumers that compare or hash dense arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = ["Relation", "MilpProblem"]
 
@@ -41,9 +43,35 @@ class Relation(IntEnum):
     EQ = 2
 
 
+class _DenseView:
+    """The ``A`` field: takes dense or sparse input, stores ``A_csr``, and
+    reads back a cached read-only ndarray built from it."""
+
+    def __get__(self, problem, owner=None):
+        if problem is None:
+            raise AttributeError("A")  # no class-level default for the field
+        view = problem.__dict__.get("_A_view")
+        if view is None:
+            view = problem.A_csr.toarray()
+            view.flags.writeable = False
+            problem._A_view = view
+        return view
+
+    def __set__(self, problem, value):
+        if not sp.issparse(value):
+            value = np.asarray(value, dtype=float)
+            if value.ndim != 2:
+                value = value.reshape(-1, np.size(problem.c))
+        csr = sp.csr_array(value, dtype=float, copy=True)
+        csr.sum_duplicates()  # and sorts the indices
+        csr.eliminate_zeros()  # -0.0 included
+        problem.A_csr = csr
+        problem._A_view = None
+
+
 @dataclass
 class MilpProblem:
-    """Dense MILP in minimization form.
+    """MILP in minimization form.
 
     Attributes
     ----------
@@ -51,8 +79,11 @@ class MilpProblem:
         Objective coefficients.
     obj_const : float
         Constant added to every objective value.
-    A : (m, n) float array
-        Row coefficient matrix. ``m`` may be zero.
+    A : (m, n) float array, read-only
+        Row coefficient matrix. ``m`` may be zero. Pass it dense or as any
+        scipy sparse matrix, whose duplicate entries add up; it is stored
+        as ``A_csr``, and reading ``A`` builds a dense copy once. The
+        solver stack reads only ``A_csr``.
     relations : (m,) int8 array
         Row senses, each ``Relation.LE`` or ``Relation.EQ``.
     b : (m,) float array
@@ -73,7 +104,7 @@ class MilpProblem:
 
     c: np.ndarray
     obj_const: float
-    A: np.ndarray
+    A: np.ndarray = _DenseView()
     relations: np.ndarray
     b: np.ndarray
     lb: np.ndarray
@@ -84,9 +115,6 @@ class MilpProblem:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
-        if self.A.ndim != 2:
-            self.A = self.A.reshape(-1, self.c.size)
         self.relations = np.asarray(self.relations, dtype=np.int8)
         self.b = np.asarray(self.b, dtype=float)
         self.lb = np.asarray(self.lb, dtype=float)
@@ -99,14 +127,14 @@ class MilpProblem:
 
     @property
     def n_rows(self) -> int:
-        return self.A.shape[0]
+        return self.A_csr.shape[0]
 
     def validate(self) -> list:
         """Return a list of diagnostics; empty means well-formed."""
         out = []
         n, m = self.n_vars, self.n_rows
-        if self.A.shape != (m, n):
-            out.append(f"A has shape {self.A.shape}, expected ({m}, {n})")
+        if self.A_csr.shape != (m, n):
+            out.append(f"A has shape {self.A_csr.shape}, expected ({m}, {n})")
         for name, arr, size in (
             ("relations", self.relations, m),
             ("b", self.b, m),
@@ -118,7 +146,7 @@ class MilpProblem:
                 out.append(f"{name} has shape {arr.shape}, expected ({size},)")
         if not np.all(np.isfinite(self.c)):
             out.append("non-finite objective coefficient")
-        if m and not np.all(np.isfinite(self.A)):
+        if not np.all(np.isfinite(self.A_csr.data)):
             out.append("non-finite row coefficient")
         if m and not np.all(np.isfinite(self.b)):
             out.append("non-finite right-hand side")

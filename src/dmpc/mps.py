@@ -71,8 +71,7 @@ def export_mps(problem: MilpProblem, destination) -> None:
 
     w("COLUMNS\n")
     # CSC lists each column's nonzero rows in ascending order
-    cols = sp.csc_matrix(problem.A)
-    cols.sort_indices()
+    cols = problem.A_csr.tocsc()
     indptr, rows, vals = cols.indptr, cols.indices.tolist(), cols.data.tolist()
     in_int = False
     marker = 0
@@ -142,8 +141,8 @@ def read_mps(source) -> MilpProblem:
     an extra mirrored row appended after the base rows. A (column, row)
     pair given more than once is summed in file order.
 
-    Coefficients are collected as (row, column, value) triplets and
-    scattered once into the dense ``A``.
+    Coefficients are summed per (row, column) pair, and the sums become
+    the problem's sparse ``A``; no dense matrix is built.
     """
     with text_file(source) as fh:
         lines = fh.read().splitlines()
@@ -156,9 +155,7 @@ def read_mps(source) -> MilpProblem:
     row_type: list = []
     col_index: dict = {}          # name -> column, in order of first mention
     col_int: list = []
-    tri_i: list = []              # COLUMNS coefficients as (row, col, value)
-    tri_j: list = []              # triplets in file order
-    tri_v: list = []
+    coef: dict = {}               # (row, col) -> COLUMNS coefficient
     obj_coef: dict = {}           # column -> objective coefficient
     rhs: dict = {}
     obj_const = 0.0
@@ -214,9 +211,8 @@ def read_mps(source) -> MilpProblem:
                 if row == obj_row:
                     obj_coef[j] = obj_coef.get(j, 0.0) + val
                 elif row in row_index:
-                    tri_i.append(row_index[row])
-                    tri_j.append(j)
-                    tri_v.append(val)
+                    key = (row_index[row], j)  # repeats add up in file order
+                    coef[key] = coef.get(key, 0.0) + val
                 elif row not in free_rows:
                     raise ValueError(f"coefficient for unknown row {row!r}")
         elif section == "RHS":
@@ -288,19 +284,17 @@ def read_mps(source) -> MilpProblem:
             mirrored.append(i)
             mirror_rhs.append(mirror_b)
 
-    # One scatter of the triplets; duplicates add up in file order.
-    ti = np.array(tri_i, dtype=np.intp)
-    tj = np.array(tri_j, dtype=np.intp)
-    tv = np.array(tri_v, dtype=float) * sign[ti]
+    # The signed coefficients, plus their mirror-row copies
+    ti, tj = np.array(list(coef), dtype=np.intp).reshape(-1, 2).T
+    tv = np.array(list(coef.values()), dtype=float) * sign[ti]
     mirror_of = np.full(m0, -1, dtype=np.intp)
     mirror_of[mirrored] = np.arange(m0, m0 + len(mirrored))
     has = mirror_of[ti] >= 0
     n = len(col_int)
-    A = np.zeros((m0 + len(mirrored), n))
-    np.add.at(A.reshape(-1),  # flat indices take numpy's fast path
-              np.concatenate([ti, mirror_of[ti[has]]]) * n
-              + np.concatenate([tj, tj[has]]),
-              np.concatenate([tv, -tv[has]]))
+    A = sp.coo_array((np.concatenate([tv, -tv[has]]),
+                      (np.concatenate([ti, mirror_of[ti[has]]]),
+                       np.concatenate([tj, tj[has]]))),
+                     shape=(m0 + len(mirrored), n))
 
     c = np.zeros(n)
     for j, v in obj_coef.items():

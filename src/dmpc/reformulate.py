@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .gdp import AffineExpr, GdpModel, IndicatorRef, validate
 from .milp import MilpProblem, Relation
@@ -123,12 +124,12 @@ def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
     returns its index, and ``ub`` is the upper-bound list, open for fixing.
     Rows are the global rows, then per disjunction the rows that generator
     yields followed by its exactly-one row, then the CNF rows. They are
-    collected as (row, column, value) triplets and scattered once into the
-    dense ``A``. A unit clause fixes its indicator through its bound
-    (``ub = 0`` for a negative literal, ``lb = 1`` for a positive one)
-    instead of a row, unless the bound it would set is already out of the
-    indicator's range; then it stays a row and the MILP stays infeasible
-    rather than turning invalid.
+    collected as (row, column, value) triplets, which become the problem's
+    sparse ``A`` as they are. A unit clause fixes its indicator through its
+    bound (``ub = 0`` for a negative literal, ``lb = 1`` for a positive
+    one) instead of a row, unless the bound it would set is already out of
+    the indicator's range; then it stays a row and the MILP stays
+    infeasible rather than turning invalid.
     """
     labels = [v.name for v in model.variables]
     lb, ub = map(list, model.bounds())
@@ -190,14 +191,10 @@ def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
     is_int = np.zeros(n_tot, dtype=bool)
     is_int[list(ind_map.values())] = True
 
-    # each (row, column) pair occurs once, so every entry is 0.0 + value
-    A = np.zeros((len(rels), n_tot))
-    A[tri_i, tri_j] += tri_v
-
     return MilpProblem(
         c=c_vec,
         obj_const=model.objective.constant,
-        A=A,
+        A=sp.coo_array((tri_v, (tri_i, tri_j)), shape=(len(rels), n_tot)),
         relations=np.array(rels, dtype=np.int8),
         b=np.array(rhs, dtype=float),
         lb=np.array(lb, dtype=float),

@@ -142,7 +142,7 @@ def check_point(problem: MilpProblem, point) -> float:
         worst = max(worst, float(np.max(problem.lb - x)))
         worst = max(worst, float(np.max(x - problem.ub)))
     if problem.n_rows:
-        res = problem.A @ x - problem.b
+        res = problem.A_csr @ x - problem.b
         le = problem.relations == Relation.LE
         if np.any(le):
             worst = max(worst, float(np.max(res[le])))
@@ -166,10 +166,7 @@ class SimplexEngine:
         # K = [A | I | diag(s)], sparse: pricing and residuals cost O(nnz),
         # and long-horizon MPC matrices are far too empty to keep dense
         eye = sp.identity(self.m, format="csc")
-        self.K = sp.hstack(
-            [sp.csc_matrix(np.asarray(problem.A, dtype=float)), eye, eye],
-            format="csc",
-        )
+        self.K = sp.hstack([sp.csc_matrix(problem.A_csr), eye, eye], format="csc")
         self.KT = self.K.T  # a CSR view on the same arrays
         self.b = np.asarray(problem.b, dtype=float).copy()
         self.obj_const = float(problem.obj_const)
@@ -216,8 +213,17 @@ class SimplexEngine:
         return col
 
     def _refactor(self):
-        """Rebuild the sparse LU of the current basis; clear the eta file."""
-        self._lu = splu(self.K[:, self.basis], permc_spec="COLAMD")
+        """Rebuild the sparse LU of the current basis; clear the eta file.
+
+        Raises RuntimeError, as SuperLU does for a singular matrix, when
+        the basis repeats a column or leaves a row empty: SuperLU must
+        never see a structurally singular matrix, which can crash it.
+        """
+        B = self.K[:, self.basis]
+        if (np.bincount(self.basis, minlength=self.nt).max(initial=0) > 1
+                or np.count_nonzero(np.bincount(B.indices, minlength=self.m)) < self.m):
+            raise RuntimeError("structurally singular basis")
+        self._lu = splu(B, permc_spec="COLAMD")
         self._k = 0
         self._fresh = True
 
@@ -305,9 +311,12 @@ class SimplexEngine:
 
     # ---------------------------------------------------------- public API
 
-    def snapshot_basis(self) -> Basis:
+    def snapshot_basis(self, carry: bool = True) -> Basis:
+        """The current basis; with ``carry``, also its factorization when
+        fresh. A snapshot meant for another engine, where loading it
+        refactors anyway, is lighter without (``carry=False``)."""
         factor = None
-        if self._fresh:
+        if carry and self._fresh:
             k = self._k
             factor = (self._token, self._lu, self._G[:k].copy(),
                       self._P[:k].copy(), self._L[: k * (k + 1) // 2].copy())
@@ -360,7 +369,7 @@ class SimplexEngine:
         res = None
         if warm and self._have_basis:
             carried = self._fresh and self._k > 0
-            start = Basis(self.basis.copy(), self.vstat.copy()) if carried else None
+            start = self.snapshot_basis(carry=False) if carried else None
             res = self._dual_solve()
             if res is None and carried:
                 self.load_basis(start)  # without its factor: refactors

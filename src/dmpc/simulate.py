@@ -217,7 +217,7 @@ def simulate_dmpc(
             wall = time.perf_counter() - t0
             if res.status is not SolveStatus.OPTIMAL or res.point is None:
                 raise RuntimeError(f"MPC solve failed at period {t}: {res.status.name}")
-            basis = engine.snapshot_basis()
+            basis = engine.snapshot_basis(carry=False)  # the next plan has its own engine
             solves.append(SolveRecord(t, res.status, res.objective, res.gap_percent, wall))
             setpoints = [float(res.point[layout.r_index(j)]) for j in range(N)]
             modes = selection_from_point(problem, res.point)

@@ -210,6 +210,13 @@ ENDATA
 
 
 
+def test_reader_adds_a_repeated_pair_in_file_order():
+    # summed by value or backwards, 1e16 absorbs the 1 and the sum is 0
+    text = ("ROWS\n N  OBJ\n L  R\nCOLUMNS\n    X  R  1e16\n"
+            "    X  R  -1e16\n    X  R  1\nENDATA\n")
+    assert read_mps(io.StringIO(text)).A_csr.data.tolist() == [1.0]
+
+
 def test_reader_rejects_duplicate_row():
     text = "NAME X\nROWS\n N  COST\n L  R1\n L  R1\nENDATA\n"
     with pytest.raises(ValueError, match="duplicate row 'R1'"):

@@ -341,6 +341,31 @@ def test_singular_refactor_in_dual_loop_falls_back_cold(monkeypatch):
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
+def test_structurally_singular_basis_falls_back_cold_before_splu(monkeypatch):
+    prob = thermostat_n3()
+    eng = SimplexEngine(prob)
+    assert eng.solve(warm=False).status is LpStatus.OPTIMAL
+    snap = eng.snapshot_basis(carry=False)
+    basis = snap.basis.copy()
+    basis[1] = basis[0]  # shape-valid, but column basis[0] is in it twice
+    factored = []
+    real_splu = dmpc.simplex.splu
+
+    def splu_spy(B, *args, **kwargs):
+        factored.append(B.copy())
+        return real_splu(B, *args, **kwargs)
+
+    monkeypatch.setattr(dmpc.simplex, "splu", splu_spy)
+    eng.load_basis(Basis(basis, snap.vstat))
+    res = eng.solve()
+    assert res.status is LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(highs_lp(prob).objective, rel=1e-9)
+    assert factored  # the cold solve factored its own bases
+    for B in factored:  # none of them had an empty row or a repeated column
+        assert np.all(np.diff(B.tocsr().indptr) > 0)
+        assert np.unique(B.toarray(), axis=1).shape[1] == B.shape[1]
+
+
 def test_singular_refactor_in_cold_loop_ends_at_iteration_limit(monkeypatch):
     prob = thermostat_n3()
     want = SimplexEngine(prob).solve(warm=False)
