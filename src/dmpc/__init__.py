@@ -4,7 +4,7 @@ Layered namespace re-exporting the stable surface of each module:
 modeling (:mod:`.gdp`), reformulation (:mod:`.reformulate`), LP/MILP
 solving (:mod:`.simplex`, :mod:`.bnb`), MPS I/O (:mod:`.mps`), the
 thermostat case study and its MPC model (:mod:`.thermostat`), the
-PWA plant step (:mod:`.pwa`), and the closed-loop / study harness
+building's plant step (:mod:`.pwa`), and the closed-loop / study harness
 (:mod:`.simulate`, :mod:`.gapstudy`).
 """
 
@@ -31,7 +31,7 @@ from .gdp import (
 )
 from .milp import MilpProblem, Relation
 from .mps import export_mps, read_mps
-from .pwa import PwaRegime, PwaSystem, simulate_pwa_step
+from .pwa import simulate_pwa_step
 from .reformulate import BigMStrategy, cnf_to_linear, to_bigm, to_hull
 from .simplex import LpResult, LpStatus, SimplexEngine, solve_lp
 from .simulate import (
@@ -73,8 +73,6 @@ __all__ = [
     "MilpProblem",
     "OFF",
     "ON",
-    "PwaRegime",
-    "PwaSystem",
     "Relation",
     "Scenario",
     "SimplexEngine",

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 FEAS_TOL = 1e-7
+BRUTE_FORCE_CAP = 4096  # most disjunct selections brute_force_solve enumerates
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,13 @@ class LinConstraint:
         if self.relation == Relation.GE:
             return -val
         return abs(val)
+
+    def normalized(self) -> "LinConstraint":
+        """The same constraint as LE or EQ: a GE row is negated to LE."""
+        if self.relation != Relation.GE:
+            return self
+        e = self.expr
+        return LinConstraint(AffineExpr(tuple((j, -c) for j, c in e.terms), -e.constant))
 
 
 @dataclass(frozen=True)
@@ -298,15 +306,10 @@ def selection_lp(model: GdpModel, selection) -> MilpProblem:
     rows, rels, rhs, row_labels = [], [], [], []
 
     def emit(con: LinConstraint, label: str):
-        dense = con.expr.to_dense(n)
-        if con.relation == Relation.GE:
-            rows.append(-dense)
-            rels.append(Relation.LE)
-            rhs.append(con.expr.constant)
-        else:
-            rows.append(dense)
-            rels.append(Relation.LE if con.relation == Relation.LE else Relation.EQ)
-            rhs.append(-con.expr.constant)
+        con = con.normalized()
+        rows.append(con.expr.to_dense(n))
+        rels.append(con.relation)
+        rhs.append(-con.expr.constant)
         row_labels.append(label)
 
     for k, con in enumerate(model.global_constraints):
@@ -333,13 +336,13 @@ def selection_lp(model: GdpModel, selection) -> MilpProblem:
     )
 
 
-def brute_force_solve(model: GdpModel, lp=None, cap: int = 4096):
+def brute_force_solve(model: GdpModel, lp=None):
     """Enumerate disjunct selections and solve the induced LP for each.
 
     Test oracle for the solver stack: walks every CNF-consistent selection
-    (at most ``cap`` combinations), solves the induced LP, and returns the
-    best outcome as a SolveResult whose ``selection`` field records the
-    winning disjunct choices.
+    (at most ``BRUTE_FORCE_CAP`` combinations), solves the induced LP, and
+    returns the best outcome as a SolveResult whose ``selection`` field
+    records the winning disjunct choices.
 
     Parameters
     ----------
@@ -358,8 +361,8 @@ def brute_force_solve(model: GdpModel, lp=None, cap: int = 4096):
     total = 1
     for s in sizes:
         total *= s
-    if total > cap:
-        raise ValueError(f"{total} selection combinations exceed cap {cap}")
+    if total > BRUTE_FORCE_CAP:
+        raise ValueError(f"{total} selection combinations exceed cap {BRUTE_FORCE_CAP}")
 
     best = None
     solved = 0

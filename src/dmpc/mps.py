@@ -170,7 +170,7 @@ def read_mps(source) -> MilpProblem:
             col_int.append(in_int)
         return j
 
-    for raw in lines:
+    for lineno, raw in enumerate(lines, 1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
         tok = raw.split()
@@ -180,79 +180,85 @@ def read_mps(source) -> MilpProblem:
                 break
             if not (section == "OBJSENSE" and tok):
                 continue  # "OBJSENSE MAX" on one line is read below
-        if section == "OBJSENSE":
-            if tok[0].upper() not in ("MIN", "MINIMIZE"):
-                raise ValueError("only minimization is supported")
-        elif section == "ROWS":
-            t, name = tok[0].upper(), tok[1]
-            if t == "N":
-                if obj_row is None:
-                    obj_row = name
+        if section in ("COLUMNS", "RHS", "RANGES") and len(tok) % 2 == 0:
+            raise ValueError(f"line {lineno}: a name, then (row, value) pairs: "
+                             f"{raw.strip()!r}")
+        try:
+            if section == "OBJSENSE":
+                if tok[0].upper() not in ("MIN", "MINIMIZE"):
+                    raise ValueError("only minimization is supported")
+            elif section == "ROWS":
+                t, name = tok[0].upper(), tok[1]
+                if t == "N":
+                    if obj_row is None:
+                        obj_row = name
+                    else:
+                        free_rows.add(name)
+                elif t in ("L", "G", "E"):
+                    if name in row_index:
+                        raise ValueError(f"duplicate row {name!r}")
+                    row_index[name] = len(row_names)
+                    row_names.append(name)
+                    row_type.append(t)
                 else:
-                    free_rows.add(name)
-            elif t in ("L", "G", "E"):
-                if name in row_index:
-                    raise ValueError(f"duplicate row {name!r}")
-                row_index[name] = len(row_names)
-                row_names.append(name)
-                row_type.append(t)
-            else:
-                raise ValueError(f"unknown row type {t!r}")
-        elif section == "COLUMNS":
-            if len(tok) >= 3 and tok[1] == "'MARKER'":
-                if "'INTORG'" in tok:
-                    in_int = True
-                elif "'INTEND'" in tok:
-                    in_int = False
-                continue
-            j = touch_col(tok[0])
-            for k in range(1, len(tok) - 1, 2):
-                row, val = tok[k], float(tok[k + 1])
-                if row == obj_row:
-                    obj_coef[j] = obj_coef.get(j, 0.0) + val
-                elif row in row_index:
-                    key = (row_index[row], j)  # repeats add up in file order
-                    coef[key] = coef.get(key, 0.0) + val
-                elif row not in free_rows:
-                    raise ValueError(f"coefficient for unknown row {row!r}")
-        elif section == "RHS":
-            for k in range(1, len(tok) - 1, 2):
-                row, val = tok[k], float(tok[k + 1])
-                if row == obj_row:
-                    obj_const = -val
-                elif row in row_index:
-                    rhs[row] = val
-                elif row not in free_rows:
-                    raise ValueError(f"rhs for unknown row {row!r}")
-        elif section == "RANGES":
-            for k in range(1, len(tok) - 1, 2):
-                row, val = tok[k], float(tok[k + 1])
-                if row in row_index:
-                    ranges[row] = val
-                elif row != obj_row and row not in free_rows:
-                    raise ValueError(f"range for unknown row {row!r}")
-        elif section == "BOUNDS":
-            btype = tok[0].upper()
-            j = touch_col(tok[2])
-            lo_hi = bounds.setdefault(j, [0.0, math.inf])
-            if btype in ("UP", "UI"):
-                lo_hi[1] = float(tok[3])
-            elif btype in ("LO", "LI"):
-                lo_hi[0] = float(tok[3])
-            elif btype == "FX":
-                lo_hi[0] = lo_hi[1] = float(tok[3])
-            elif btype == "MI":
-                lo_hi[0] = -math.inf
-            elif btype == "PL":
-                lo_hi[1] = math.inf
-            elif btype == "FR":
-                lo_hi[0], lo_hi[1] = -math.inf, math.inf
-            elif btype == "BV":
-                lo_hi[0], lo_hi[1] = 0.0, 1.0
-            else:
-                raise ValueError(f"unknown bound type {btype!r}")
-            if btype in ("BV", "UI", "LI"):
-                col_int[j] = True
+                    raise ValueError(f"unknown row type {t!r}")
+            elif section == "COLUMNS":
+                if len(tok) >= 3 and tok[1] == "'MARKER'":
+                    if "'INTORG'" in tok:
+                        in_int = True
+                    elif "'INTEND'" in tok:
+                        in_int = False
+                    continue
+                j = touch_col(tok[0])
+                for k in range(1, len(tok) - 1, 2):
+                    row, val = tok[k], float(tok[k + 1])
+                    if row == obj_row:
+                        obj_coef[j] = obj_coef.get(j, 0.0) + val
+                    elif row in row_index:
+                        key = (row_index[row], j)  # repeats add up in file order
+                        coef[key] = coef.get(key, 0.0) + val
+                    elif row not in free_rows:
+                        raise ValueError(f"coefficient for unknown row {row!r}")
+            elif section == "RHS":
+                for k in range(1, len(tok) - 1, 2):
+                    row, val = tok[k], float(tok[k + 1])
+                    if row == obj_row:
+                        obj_const = -val
+                    elif row in row_index:
+                        rhs[row] = val
+                    elif row not in free_rows:
+                        raise ValueError(f"rhs for unknown row {row!r}")
+            elif section == "RANGES":
+                for k in range(1, len(tok) - 1, 2):
+                    row, val = tok[k], float(tok[k + 1])
+                    if row in row_index:
+                        ranges[row] = val
+                    elif row != obj_row and row not in free_rows:
+                        raise ValueError(f"range for unknown row {row!r}")
+            elif section == "BOUNDS":
+                btype = tok[0].upper()
+                j = touch_col(tok[2])
+                lo_hi = bounds.setdefault(j, [0.0, math.inf])
+                if btype in ("UP", "UI"):
+                    lo_hi[1] = float(tok[3])
+                elif btype in ("LO", "LI"):
+                    lo_hi[0] = float(tok[3])
+                elif btype == "FX":
+                    lo_hi[0] = lo_hi[1] = float(tok[3])
+                elif btype == "MI":
+                    lo_hi[0] = -math.inf
+                elif btype == "PL":
+                    lo_hi[1] = math.inf
+                elif btype == "FR":
+                    lo_hi[0], lo_hi[1] = -math.inf, math.inf
+                elif btype == "BV":
+                    lo_hi[0], lo_hi[1] = 0.0, 1.0
+                else:
+                    raise ValueError(f"unknown bound type {btype!r}")
+                if btype in ("BV", "UI", "LI"):
+                    col_int[j] = True
+        except IndexError:
+            raise ValueError(f"line {lineno}: too few fields: {raw.strip()!r}") from None
 
     if obj_row is None:
         raise ValueError("no objective (N) row found")

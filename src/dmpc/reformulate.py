@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .gdp import AffineExpr, GdpModel, IndicatorRef, validate
+from .gdp import GdpModel, IndicatorRef, LinConstraint, validate
 from .milp import MilpProblem, Relation
 
 __all__ = [
@@ -72,15 +72,9 @@ class BigMStrategy:
 
 def _le_rows(con):
     """Normalize a constraint to a list of expressions meaning expr <= 0."""
-    expr = con.expr
-    neg = AffineExpr(
-        tuple((j, -c) for j, c in expr.terms), -expr.constant
-    )
-    if con.relation == Relation.LE:
-        return [expr]
-    if con.relation == Relation.GE:
-        return [neg]
-    return [expr, neg]
+    if con.relation == Relation.EQ:
+        return [con.expr, LinConstraint(con.expr, Relation.GE).normalized().expr]
+    return [con.normalized().expr]
 
 
 def cnf_to_linear(clauses, indicator_map) -> list:
@@ -154,13 +148,8 @@ def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
         row_labels.append(label)
 
     for k, con in enumerate(model.global_constraints):
-        coeffs = dict(con.expr.terms)
-        if con.relation == Relation.GE:
-            emit({j: -c for j, c in coeffs.items()}, Relation.LE,
-                 con.expr.constant, f"g[{k}]")
-        else:
-            rel = Relation.LE if con.relation == Relation.LE else Relation.EQ
-            emit(coeffs, rel, -con.expr.constant, f"g[{k}]")
+        con = con.normalized()
+        emit(dict(con.expr.terms), con.relation, -con.expr.constant, f"g[{k}]")
 
     ind_map = {}
     for d, dis in enumerate(model.disjunctions):
@@ -303,15 +292,10 @@ def to_hull(model: GdpModel) -> MilpProblem:
             for k, con in enumerate(dj.local_constraints):
                 if any(j in pinned for j, _ in con.expr.terms):
                     continue  # the pinning row, folded into the aggregation
+                con = con.normalized()
                 coeffs = {copy[(i, j)]: c for j, c in con.expr.terms}
                 coeffs[s[i]] = coeffs.get(s[i], 0.0) + con.expr.constant
-                if con.relation == Relation.LE:
-                    yield coeffs, Relation.LE, 0.0, f"persp[{d},{i},{k}]"
-                elif con.relation == Relation.GE:
-                    yield ({j: -c for j, c in coeffs.items()}, Relation.LE,
-                           0.0, f"persp[{d},{i},{k}]")
-                else:
-                    yield coeffs, Relation.EQ, 0.0, f"persp[{d},{i},{k}]"
+                yield coeffs, con.relation, 0.0, f"persp[{d},{i},{k}]"
             # bound rows l s <= y_i <= u s; zero sides fold into the column
             for j in copied:
                 lo, hi = lb0[j], ub0[j]

@@ -18,13 +18,11 @@ import io
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._files import text_file
 # perfbench times plans by patching solve and build_thermostat_mpc in this
 # module, so the code here must keep calling both by these names
 from .bnb import SolveOptions, SolveStatus, solve
-from .pwa import PwaRegime, PwaSystem, simulate_pwa_step
+from .pwa import simulate_pwa_step
 from .reformulate import selection_from_point
 from .simplex import SimplexEngine
 from .thermostat import (
@@ -36,6 +34,7 @@ from .thermostat import (
     ThermostatParams,
     build_thermostat_mpc,
     default_building,
+    initial_state,
     relay_switch,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "Scenario",
     "SolveRecord",
     "ClosedLoopTrace",
-    "building_system",
     "simulate_rtc",
     "simulate_dmpc",
     "write_trace_csv",
@@ -74,6 +72,7 @@ class Scenario:
             raise ValueError("s0 must be ON or OFF")
         if self.periods < 1:
             raise ValueError("periods must be at least 1")
+        initial_state(self.x0)
 
 
 @dataclass(frozen=True)
@@ -115,20 +114,6 @@ class ClosedLoopTrace:
         self.energy_kwh_cum.append(energy)
 
 
-def building_system(building: BuildingModel | None = None) -> PwaSystem:
-    """The plant as a one-regime PWA system (heat input is the only input)."""
-    b = building if building is not None else default_building()
-    regime = PwaRegime(
-        "building",
-        np.asarray(b.A, dtype=float),
-        np.asarray(b.B, dtype=float).reshape(-1, 1),
-        np.zeros((4, 1)),
-        np.array([[0.0, 0.0, 0.0, 1.0]]),
-        np.zeros((1, 1)),
-    )
-    return PwaSystem((regime,))
-
-
 def comfort_violation(T: float, params: ThermostatParams) -> float:
     lo = params.T_set - params.theta
     hi = params.T_set + params.theta
@@ -142,9 +127,8 @@ def _energy_step(u: float, dt_minutes: float) -> float:
 def _closed_loop(sc: Scenario, setpoint) -> ClosedLoopTrace:
     """Step plant, relay, energy and trace; ``setpoint(t, x, s)`` gives r."""
     p = sc.params
-    system = building_system(sc.building)
     trace = ClosedLoopTrace(dt_minutes=sc.building.dt_minutes)
-    x = np.asarray(sc.x0, dtype=float).copy()
+    x = initial_state(sc.x0)
     s = sc.s0
     energy = 0.0
     for t in range(sc.periods):
@@ -154,7 +138,7 @@ def _closed_loop(sc: Scenario, setpoint) -> ClosedLoopTrace:
         energy = energy + _energy_step(u, sc.building.dt_minutes)
         trace.append(t, T, r, s, u, comfort_violation(T, p), energy)
         s = relay_switch(s, T, r, p.gamma)
-        x, _ = simulate_pwa_step(system, x, [u], None, 0)
+        x = simulate_pwa_step(sc.building, x, u)
     return trace
 
 
@@ -266,6 +250,9 @@ def read_trace_rows(source) -> list:
             raise ValueError("unexpected trace header")
         rows = []
         for rec in reader:
+            if None in rec or None in rec.values():  # a cell too many or too few
+                raise ValueError(f"line {reader.line_num}: expected "
+                                 f"{len(TRACE_HEADER)} cells")
             rows.append({
                 "t": int(rec["t"]),
                 "minutes": float(rec["minutes"]),

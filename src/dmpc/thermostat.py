@@ -49,6 +49,7 @@ __all__ = [
     "OPERATING_MODES",
     "relay_switch",
     "ThermostatLayout",
+    "initial_state",
     "build_thermostat_gdp",
     "build_thermostat_mpc",
     "VARIANTS",
@@ -65,11 +66,24 @@ SETPOINT_SPAN = 5.0
 
 @dataclass(frozen=True)
 class BuildingModel:
-    """Discrete-time thermal model x_{t+1} = A x_t + B u_t, T = x[3]."""
+    """Discrete-time thermal model x_{t+1} = A x_t + B u_t, T = x[3].
+
+    ``A`` is stored as a 4x4 float array and ``B`` as four floats; a
+    column ``B`` is flattened. The MPC's dynamics rows and the closed
+    loop's plant both read these arrays as they are.
+    """
 
     A: np.ndarray
     B: np.ndarray
     dt_minutes: float = 0.25
+
+    def __post_init__(self):
+        A = np.asarray(self.A, dtype=float)
+        B = np.asarray(self.B, dtype=float).reshape(-1)
+        if A.shape != (4, 4) or B.shape != (4,):
+            raise ValueError("A must be 4x4 and B must hold four values")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
 
 def default_building() -> BuildingModel:
@@ -158,6 +172,16 @@ class ThermostatLayout:
         return 5 * (self.horizon + 1) + self.horizon + (t - 1)
 
 
+def initial_state(x0) -> np.ndarray:
+    """``x0`` as four finite temperatures in [TEMP_MIN, TEMP_MAX], else ValueError."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.size != 4:
+        raise ValueError("x0 must have four components")
+    if not np.all((x0 >= TEMP_MIN - 1e-12) & (x0 <= TEMP_MAX + 1e-12)):
+        raise ValueError("x0 must be finite and within the temperature bounds")
+    return x0
+
+
 def build_thermostat_gdp(
     x0,
     s0: int,
@@ -172,11 +196,7 @@ def build_thermostat_gdp(
         raise ValueError("s0 must be ON or OFF")
     p = params if params is not None else ThermostatParams()
     b = building if building is not None else default_building()
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != 4:
-        raise ValueError("x0 must have four components")
-    if np.any(x0 < TEMP_MIN - 1e-12) or np.any(x0 > TEMP_MAX + 1e-12):
-        raise ValueError("x0 out of temperature bounds")
+    x0 = initial_state(x0)
 
     lay = ThermostatLayout(N)
     variables = []
@@ -195,8 +215,7 @@ def build_thermostat_gdp(
     for t in range(1, N + 1):
         variables.append(Variable(f"m[{t}]", 0.0, SLACK_MAX))
 
-    A = np.asarray(b.A, dtype=float)
-    B = np.asarray(b.B, dtype=float).reshape(-1)
+    A, B = b.A, b.B
 
     globals_rows = []
     for t in range(N):

@@ -8,6 +8,7 @@ import pytest
 
 from dmpc.bnb import SolveStatus
 from dmpc.gdp import (
+    BRUTE_FORCE_CAP,
     AffineExpr,
     CnfClause,
     Disjunct,
@@ -146,6 +147,13 @@ def test_brute_force_honours_propositions():
     m = dataclasses.replace(m, propositions=(veto,))
     res = brute_force_solve(m)
     assert res.selection == (1,)
+
+
+def test_brute_force_refuses_more_selections_than_its_cap():
+    k = BRUTE_FORCE_CAP.bit_length()  # 2**k > BRUTE_FORCE_CAP
+    m = _with(disjunctions=two_box_model().disjunctions * k)
+    with pytest.raises(ValueError, match=f"{2**k} selection combinations exceed cap"):
+        brute_force_solve(m)
 
 
 def test_selection_lp_restricts_to_chosen_disjunct():

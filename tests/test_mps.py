@@ -249,6 +249,21 @@ def test_reader_rejects_range_for_unknown_row():
     assert back.row_labels == ["R1"]
 
 
+MALFORMED = "NAME X\nROWS\n N  COST\n L  R1\n{rows}COLUMNS\n    X  R1  1\n{tail}ENDATA\n"
+
+
+@pytest.mark.parametrize("rows, tail, error", [
+    (" N\n", "", "line 5: too few fields"),
+    ("", "BOUNDS\n UP BND X\n", "line 8: too few fields"),
+    ("", "    Y  R1  1  R1\n", "line 7: a name, then"),
+    ("", "RHS\n    RHS  R1  1  R1\n", "line 8: a name, then"),
+    ("", "RANGES\n    RNG  R1\n", "line 8: a name, then"),
+], ids=["rows", "bounds", "columns", "rhs", "ranges"])
+def test_reader_rejects_malformed_line(rows, tail, error):
+    with pytest.raises(ValueError, match=error):
+        read_mps(io.StringIO(MALFORMED.format(rows=rows, tail=tail)))
+
+
 # sha256 of A.tobytes() and of the export_mps text for the N=5 thermostat
 # model at x0=(20.5, 20.8, 19.5, 20.1), relay ON. Both pairs were recorded
 # when the relay state became FX 0 bounds on the two ruled-out modes of

@@ -49,6 +49,18 @@ def test_scenario_rejects_unknown_relay_state():
         Scenario(s0=7)
 
 
+@pytest.mark.parametrize("x0", [
+    (21.0, 21.0, 21.0),
+    (21.0, 21.0, 21.0, math.nan),
+    (21.0, 21.0, 21.0, 100.0),
+    (21.0, -math.inf, 21.0, 21.0),
+], ids=["three_states", "nan", "too_hot", "minus_inf"])
+def test_scenario_rejects_bad_initial_state(x0):
+    # the rule build_thermostat_mpc applies, so RTC and D-MPC accept the same x0
+    with pytest.raises(ValueError, match="x0"):
+        Scenario(x0=x0)
+
+
 def test_rtc_infinite_band_off_never_heats():
     sc = Scenario(params=ThermostatParams(gamma=math.inf), periods=120)
     trace = simulate_rtc(sc)
@@ -64,15 +76,20 @@ def test_rtc_forced_on_full_power():
     assert all(s == ON for s in trace.s)
 
 
+# sha256 of the default 480-period RTC trace CSV; a change that leaves the
+# plant step and the relay alone keeps it
+RTC_TRACE_SHA256 = (
+    "4b85eff2dfd58b13c2654b36f7ff0d4a891e07424ba330738f8b6b8cdd15bb58"
+)
+
+
 def test_rtc_default_day_cycles():
     trace = simulate_rtc(Scenario(periods=480))
     assert len(trace.t) == 480
     assert 0.0 < trace.energy_kwh < 8.0
     assert len(set(trace.s)) == 2  # the relay actually switches
     assert audit_trace(trace, trace_gamma()) == []
-    assert _sha(trace) == (
-        "4b85eff2dfd58b13c2654b36f7ff0d4a891e07424ba330738f8b6b8cdd15bb58"
-    )
+    assert _sha(trace) == RTC_TRACE_SHA256
 
 
 def trace_gamma() -> float:
@@ -111,6 +128,15 @@ def test_csv_bytes_deterministic():
 def test_reader_rejects_foreign_header():
     with pytest.raises(ValueError):
         read_trace_rows(io.StringIO("a,b,c\n1,2,3\n"))
+
+
+@pytest.mark.parametrize("row", ["0,0.0,21.0,21.0,0,0.0,0.0",
+                                 "0,0.0,21.0,21.0,0,0.0,0.0,0.0,7"],
+                         ids=["missing_cell", "extra_cell"])
+def test_reader_rejects_malformed_row(row):
+    text = ",".join(TRACE_HEADER) + "\n0,0.0,21.0,21.0,0,0.0,0.0,0.0\n" + row + "\n"
+    with pytest.raises(ValueError, match="line 3: expected 8 cells"):
+        read_trace_rows(io.StringIO(text))
 
 
 def test_audit_catches_energy_tampering():

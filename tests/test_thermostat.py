@@ -11,6 +11,7 @@ from dmpc.thermostat import (
     OFF,
     ON,
     OPERATING_MODES,
+    BuildingModel,
     ThermostatParams,
     build_thermostat_gdp,
     build_thermostat_mpc,
@@ -79,6 +80,19 @@ def test_default_building_shapes():
     assert b.dt_minutes == pytest.approx(0.25)
     # indoor temperature is the last state and couples to the others
     assert b.A[3, 0] > 0.0 and b.A[3, 1] > 0.0
+
+
+def test_building_arrays_are_normalized_and_checked():
+    # the plant step and the dynamics rows read A and B as stored
+    b = default_building()
+    listed = BuildingModel(A=b.A.tolist(), B=b.B.reshape(-1, 1))
+    np.testing.assert_array_equal(listed.A, b.A)
+    np.testing.assert_array_equal(listed.B, b.B)
+    assert listed.B.shape == (4,)
+    with pytest.raises(ValueError, match="4x4"):
+        BuildingModel(A=b.A[:3, :3], B=b.B)
+    with pytest.raises(ValueError, match="four values"):
+        BuildingModel(A=b.A, B=b.B[:3])
 
 
 def test_gdp_model_validates_and_sizes():
