@@ -157,8 +157,8 @@ def highs_lp(problem: MilpProblem) -> LpResult:
     """``brute_force_solve``'s LP callback on scipy's HiGHS, so the oracle
     shares no code with the simplex under test."""
     le = problem.relations == Relation.LE  # every other row is EQ
-    res = linprog(problem.c, A_ub=problem.A[le], b_ub=problem.b[le],
-                  A_eq=problem.A[~le], b_eq=problem.b[~le],
+    res = linprog(problem.c, A_ub=problem.A_csr[le], b_ub=problem.b[le],
+                  A_eq=problem.A_csr[~le], b_eq=problem.b[~le],
                   bounds=list(zip(problem.lb, problem.ub)), method="highs")
     if res.status != 0:
         status = {2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}.get(

@@ -45,7 +45,8 @@ class Relation(IntEnum):
 
 class _DenseView:
     """The ``A`` field: takes dense or sparse input, stores ``A_csr``, and
-    reads back a cached read-only ndarray built from it."""
+    reads back a cached read-only ndarray built from it. Nothing in the
+    package reads it; its readers are the benchmark harness and tests."""
 
     def __get__(self, problem, owner=None):
         if problem is None:

@@ -1,13 +1,15 @@
 """Fixed-format MPS export and a matching reader.
 
 The writer emits the classic eight-column layout (fields at columns 2-3,
-5-12, 15-22, 25-36, 40-47 and 50-61), one coefficient per line, with
-integer columns wrapped in INTORG/INTEND markers and additionally marked
-BV in the BOUNDS section. Values are printed with ``repr``, the shortest
-string that parses back to the identical float, so a round trip through
-any whitespace-tolerant reader reproduces coefficients exactly. A value
-whose shortest form overflows its field widens that field; downstream
-readers treat the format as whitespace-delimited anyway.
+5-12, 15-22, 25-36, 40-47 and 50-61) with trailing blanks dropped, one
+coefficient per line, with integer columns wrapped in INTORG/INTEND
+markers and additionally marked BV in the BOUNDS section. Each kind of
+line (ROWS entry, COLUMNS entry, marker, RHS entry, bound) has its own
+format string. Values are printed with ``repr``, the shortest string that
+parses back to the identical float, so a round trip through any
+whitespace-tolerant reader reproduces coefficients exactly. A value whose
+shortest form overflows its field widens that field; downstream readers
+treat the format as whitespace-delimited anyway.
 
 Row names are R0000001... in emission order, columns C0000001... in
 column order; an objective constant is stored negated as the RHS of the
@@ -15,12 +17,12 @@ objective row, per the usual convention.
 
 The reader is more lenient than the writer: it also takes G rows,
 RANGES, free (N) rows beyond the objective, which it drops, and the
-MI/PL/FR/FX/LI/UI bound types; see :func:`read_mps`.
+MI/PL/FR/FX/LI/UI bound types; see :func:`read_mps`. COLUMNS, RHS and
+RANGES share one (row, value) pair loop, and BOUNDS is one table of rules.
 """
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -32,25 +34,12 @@ from .milp import MilpProblem, Relation
 __all__ = ["export_mps", "read_mps"]
 
 _ROW_TYPE = {Relation.LE: "L", Relation.EQ: "E"}
+_MARKER = "    MARK{:04d}  'MARKER'                 {}"
 
 
 def _fmt(v: float) -> str:
-    r = repr(float(v))
-    return r[:-2] if r.endswith(".0") and "e" not in r and "E" not in r else r
-
-
-def _line(f1: str = "", f2: str = "", f3: str = "", f4: str = "",
-          f5: str = "", f6: str = "") -> str:
-    s = f" {f1:<2} {f2:<8}  {f3:<8}  {f4:<12}   {f5:<8}  {f6:<12}"
-    return s.rstrip()
-
-
-def _row_name(i: int) -> str:
-    return f"R{i + 1:07d}"
-
-
-def _col_name(j: int) -> str:
-    return f"C{j + 1:07d}"
+    # a repr ending in ".0" has no exponent, so this only trims integers
+    return repr(float(v)).removesuffix(".0")
 
 
 def export_mps(problem: MilpProblem, destination) -> None:
@@ -59,74 +48,74 @@ def export_mps(problem: MilpProblem, destination) -> None:
     if diagnostics:
         raise ValueError("invalid problem: " + "; ".join(diagnostics))
 
-    m, n = problem.n_rows, problem.n_vars
-    out = io.StringIO()
-    w = out.write
+    rows = [f"R{i + 1:07d}" for i in range(problem.n_rows)]
+    cols = [f"C{j + 1:07d}" for j in range(problem.n_vars)]
+    lines = ["NAME          DMPC", "ROWS", " N  OBJ"]
+    lines += [f" {_ROW_TYPE[r]}  {row}"
+              for r, row in zip(problem.relations.tolist(), rows)]
 
-    w("NAME          DMPC\n")
-    w("ROWS\n")
-    w(" N  OBJ\n")
-    for i in range(m):
-        w(f" {_ROW_TYPE[Relation(int(problem.relations[i]))]}  {_row_name(i)}\n")
-
-    w("COLUMNS\n")
+    lines.append("COLUMNS")
     # CSC lists each column's nonzero rows in ascending order
-    cols = problem.A_csr.tocsc()
-    indptr, rows, vals = cols.indptr, cols.indices.tolist(), cols.data.tolist()
+    csc = problem.A_csr.tocsc()
+    indptr, nz_rows = csc.indptr.tolist(), csc.indices.tolist()
+    nz_vals = [_fmt(v) for v in csc.data.tolist()]
     in_int = False
     marker = 0
     for j, (cj, int_j) in enumerate(zip(problem.c.tolist(),
                                         problem.is_int.tolist())):
         if int_j != in_int:
-            tag = "'INTORG'" if not in_int else "'INTEND'"
-            w(_line("", f"MARK{marker:04d}", "'MARKER'", "", tag) + "\n")
-            in_int = not in_int
+            lines.append(_MARKER.format(marker, "'INTEND'" if in_int else "'INTORG'"))
+            in_int = int_j
             marker += 1
-        name = _col_name(j)
-        wrote = False
+        col, start, stop = cols[j], indptr[j], indptr[j + 1]
         if cj != 0.0:
-            w(_line("", name, "OBJ", _fmt(cj)) + "\n")
-            wrote = True
-        for k in range(indptr[j], indptr[j + 1]):
-            w(_line("", name, _row_name(rows[k]), _fmt(vals[k])) + "\n")
-            wrote = True
-        if not wrote:
+            lines.append(f"    {col}  OBJ       {_fmt(cj)}")
+        elif start == stop:
             # declare otherwise-empty columns so no reader drops them
-            w(_line("", name, "OBJ", "0") + "\n")
+            lines.append(f"    {col}  OBJ       0")
+        lines += [f"    {col}  {rows[nz_rows[k]]}  {nz_vals[k]}"
+                  for k in range(start, stop)]
     if in_int:
-        w(_line("", f"MARK{marker:04d}", "'MARKER'", "", "'INTEND'") + "\n")
+        lines.append(_MARKER.format(marker, "'INTEND'"))
 
-    w("RHS\n")
+    lines.append("RHS")
     if problem.obj_const != 0.0:
-        w(_line("", "RHS", "OBJ", _fmt(-problem.obj_const)) + "\n")
-    for i in range(m):
-        if problem.b[i] != 0.0:
-            w(_line("", "RHS", _row_name(i), _fmt(problem.b[i])) + "\n")
+        lines.append(f"    RHS       OBJ       {_fmt(-problem.obj_const)}")
+    lines += [f"    RHS       {row}  {_fmt(b)}"
+              for row, b in zip(rows, problem.b.tolist()) if b != 0.0]
 
-    w("RANGES\n")
-
-    w("BOUNDS\n")
-    for j in range(n):
-        name = _col_name(j)
-        lo, hi = float(problem.lb[j]), float(problem.ub[j])
-        if problem.is_int[j] and lo == 0.0 and hi == 1.0:
-            w(_line("BV", "BND", name) + "\n")
-            continue
-        lo_tag, hi_tag = ("LI", "UI") if problem.is_int[j] else ("LO", "UP")
-        if lo == hi:
-            w(_line("FX", "BND", name, _fmt(lo)) + "\n")
-            continue
-        if lo == -math.inf:
-            w(_line("MI", "BND", name) + "\n")
-        elif lo != 0.0 or problem.is_int[j]:
-            w(_line(lo_tag, "BND", name, _fmt(lo)) + "\n")
-        if hi != math.inf:
-            w(_line(hi_tag, "BND", name, _fmt(hi)) + "\n")
-
-    w("ENDATA\n")
+    lines += ["RANGES", "BOUNDS"]
+    for col, lo, hi, int_j in zip(cols, problem.lb.tolist(), problem.ub.tolist(),
+                                  problem.is_int.tolist()):
+        if int_j and lo == 0.0 and hi == 1.0:
+            lines.append(f" BV BND       {col}")
+        elif lo == hi:
+            lines.append(f" FX BND       {col}  {_fmt(lo)}")
+        else:
+            if lo == -math.inf:
+                lines.append(f" MI BND       {col}")
+            elif lo != 0.0 or int_j:
+                lines.append(f" {'LI' if int_j else 'LO'} BND       {col}  {_fmt(lo)}")
+            if hi != math.inf:
+                lines.append(f" {'UI' if int_j else 'UP'} BND       {col}  {_fmt(hi)}")
+    lines.append("ENDATA")
 
     with text_file(destination, "w") as fh:
-        fh.write(out.getvalue())
+        fh.write("\n".join(lines) + "\n")
+
+
+# What an unknown row in each (row, value) pair section was meant to carry
+_PAIR_ENTRY = {"COLUMNS": "coefficient", "RHS": "rhs", "RANGES": "range"}
+
+# Bound key -> its (lower, upper) rule: a number sets that side, "v" sets
+# it to the entry's value and None leaves it as it is
+_BOUNDS = {
+    "UP": (None, "v"), "UI": (None, "v"),
+    "LO": ("v", None), "LI": ("v", None),
+    "FX": ("v", "v"),
+    "MI": (-math.inf, None), "PL": (None, math.inf),
+    "FR": (-math.inf, math.inf), "BV": (0.0, 1.0),
+}
 
 
 def read_mps(source) -> MilpProblem:
@@ -139,10 +128,9 @@ def read_mps(source) -> MilpProblem:
     further N (free) row is dropped together with its coefficients and
     RHS entries. G rows are negated into <= form; ranged rows contribute
     an extra mirrored row appended after the base rows. A (column, row)
-    pair given more than once is summed in file order.
-
-    Coefficients are summed per (row, column) pair, and the sums become
-    the problem's sparse ``A``; no dense matrix is built.
+    pair given more than once is summed in file order, and the sums become
+    the problem's sparse ``A``; no dense matrix is built. An error in a
+    line names that line.
     """
     with text_file(source) as fh:
         lines = fh.read().splitlines()
@@ -150,16 +138,13 @@ def read_mps(source) -> MilpProblem:
     section = None
     obj_row = None
     free_rows: set = set()        # N rows after the first; their entries drop
-    row_names: list = []          # ROWS order, objective excluded
-    row_index: dict = {}          # name -> position in row_names
+    row_index: dict = {}          # name -> position in ROWS, objective excluded
     row_type: list = []
     col_index: dict = {}          # name -> column, in order of first mention
     col_int: list = []
-    coef: dict = {}               # (row, col) -> COLUMNS coefficient
-    obj_coef: dict = {}           # column -> objective coefficient
-    rhs: dict = {}
-    obj_const = 0.0
-    ranges: dict = {}
+    coef: dict = {}               # (row, col) -> COLUMNS sum; row -1 is the objective
+    rhs: dict = {}                # row -> RHS entry; row -1 is the objective
+    ranges: dict = {}             # row -> RANGES entry
     bounds: dict = {}             # column -> [lo, hi]
     in_int = False
 
@@ -180,11 +165,30 @@ def read_mps(source) -> MilpProblem:
                 break
             if not (section == "OBJSENSE" and tok):
                 continue  # "OBJSENSE MAX" on one line is read below
-        if section in ("COLUMNS", "RHS", "RANGES") and len(tok) % 2 == 0:
-            raise ValueError(f"line {lineno}: a name, then (row, value) pairs: "
-                             f"{raw.strip()!r}")
         try:
-            if section == "OBJSENSE":
+            if section in _PAIR_ENTRY:
+                if len(tok) % 2 == 0:
+                    raise ValueError("a name, then (row, value) pairs")
+                if section == "COLUMNS":
+                    if len(tok) > 1 and tok[1] == "'MARKER'":
+                        if "'INTORG'" in tok or "'INTEND'" in tok:
+                            in_int = "'INTORG'" in tok
+                        continue
+                    j = touch_col(tok[0])
+                for k in range(1, len(tok), 2):
+                    row, val = tok[k], float(tok[k + 1])
+                    i = -1 if row == obj_row else row_index.get(row)
+                    if i is None:
+                        if row not in free_rows:
+                            raise ValueError(f"{_PAIR_ENTRY[section]} for "
+                                             f"unknown row {row!r}")
+                    elif section == "COLUMNS":  # repeats add up in file order
+                        coef[i, j] = coef.get((i, j), 0.0) + val
+                    elif section == "RHS":
+                        rhs[i] = val
+                    else:
+                        ranges[i] = val
+            elif section == "OBJSENSE":
                 if tok[0].upper() not in ("MIN", "MINIMIZE"):
                     raise ValueError("only minimization is supported")
             elif section == "ROWS":
@@ -197,68 +201,25 @@ def read_mps(source) -> MilpProblem:
                 elif t in ("L", "G", "E"):
                     if name in row_index:
                         raise ValueError(f"duplicate row {name!r}")
-                    row_index[name] = len(row_names)
-                    row_names.append(name)
+                    row_index[name] = len(row_index)
                     row_type.append(t)
                 else:
                     raise ValueError(f"unknown row type {t!r}")
-            elif section == "COLUMNS":
-                if len(tok) >= 3 and tok[1] == "'MARKER'":
-                    if "'INTORG'" in tok:
-                        in_int = True
-                    elif "'INTEND'" in tok:
-                        in_int = False
-                    continue
-                j = touch_col(tok[0])
-                for k in range(1, len(tok) - 1, 2):
-                    row, val = tok[k], float(tok[k + 1])
-                    if row == obj_row:
-                        obj_coef[j] = obj_coef.get(j, 0.0) + val
-                    elif row in row_index:
-                        key = (row_index[row], j)  # repeats add up in file order
-                        coef[key] = coef.get(key, 0.0) + val
-                    elif row not in free_rows:
-                        raise ValueError(f"coefficient for unknown row {row!r}")
-            elif section == "RHS":
-                for k in range(1, len(tok) - 1, 2):
-                    row, val = tok[k], float(tok[k + 1])
-                    if row == obj_row:
-                        obj_const = -val
-                    elif row in row_index:
-                        rhs[row] = val
-                    elif row not in free_rows:
-                        raise ValueError(f"rhs for unknown row {row!r}")
-            elif section == "RANGES":
-                for k in range(1, len(tok) - 1, 2):
-                    row, val = tok[k], float(tok[k + 1])
-                    if row in row_index:
-                        ranges[row] = val
-                    elif row != obj_row and row not in free_rows:
-                        raise ValueError(f"range for unknown row {row!r}")
             elif section == "BOUNDS":
                 btype = tok[0].upper()
                 j = touch_col(tok[2])
-                lo_hi = bounds.setdefault(j, [0.0, math.inf])
-                if btype in ("UP", "UI"):
-                    lo_hi[1] = float(tok[3])
-                elif btype in ("LO", "LI"):
-                    lo_hi[0] = float(tok[3])
-                elif btype == "FX":
-                    lo_hi[0] = lo_hi[1] = float(tok[3])
-                elif btype == "MI":
-                    lo_hi[0] = -math.inf
-                elif btype == "PL":
-                    lo_hi[1] = math.inf
-                elif btype == "FR":
-                    lo_hi[0], lo_hi[1] = -math.inf, math.inf
-                elif btype == "BV":
-                    lo_hi[0], lo_hi[1] = 0.0, 1.0
-                else:
+                rule = _BOUNDS.get(btype)
+                if rule is None:
                     raise ValueError(f"unknown bound type {btype!r}")
+                lo_hi = bounds.setdefault(j, [0.0, math.inf])
+                for side, value in enumerate(rule):
+                    if value is not None:
+                        lo_hi[side] = float(tok[3]) if value == "v" else value
                 if btype in ("BV", "UI", "LI"):
                     col_int[j] = True
-        except IndexError:
-            raise ValueError(f"line {lineno}: too few fields: {raw.strip()!r}") from None
+        except (IndexError, ValueError) as err:
+            why = "too few fields" if isinstance(err, IndexError) else err
+            raise ValueError(f"line {lineno}: {why}: {raw.strip()!r}") from None
 
     if obj_row is None:
         raise ValueError("no objective (N) row found")
@@ -266,14 +227,14 @@ def read_mps(source) -> MilpProblem:
     # Row senses and right-hand sides, one base row per ROWS entry. A G
     # row is stored negated (sign -1); a ranged row gets a mirror row,
     # the negated base row, appended after all base rows.
+    row_names = list(row_index)
     m0 = len(row_names)
     sign = np.ones(m0)
     rels: list = []
     bvec: list = []
-    mirrored: list = []
-    mirror_rhs: list = []
-    for i, name in enumerate(row_names):
-        t, b, r = row_type[i], rhs.get(name, 0.0), ranges.get(name)
+    mirror: dict = {}             # base row -> its mirror row's rhs, in ROWS order
+    for i, t in enumerate(row_type):
+        b, r = rhs.get(i, 0.0), ranges.get(i)
         rels.append(Relation.EQ if t == "E" and r is None else Relation.LE)
         if t == "G":
             sign[i] = -1.0
@@ -287,24 +248,20 @@ def read_mps(source) -> MilpProblem:
             bvec.append(hi)
             mirror_b = -lo
         if mirror_b is not None:
-            mirrored.append(i)
-            mirror_rhs.append(mirror_b)
+            mirror[i] = mirror_b
 
-    # The signed coefficients, plus their mirror-row copies
-    ti, tj = np.array(list(coef), dtype=np.intp).reshape(-1, 2).T
-    tv = np.array(list(coef.values()), dtype=float) * sign[ti]
-    mirror_of = np.full(m0, -1, dtype=np.intp)
-    mirror_of[mirrored] = np.arange(m0, m0 + len(mirrored))
-    has = mirror_of[ti] >= 0
+    # Objective coefficients sit in row -1; the rest, signed, are the base
+    # rows, and the mirror rows are their negated copies
     n = len(col_int)
-    A = sp.coo_array((np.concatenate([tv, -tv[has]]),
-                      (np.concatenate([ti, mirror_of[ti[has]]]),
-                       np.concatenate([tj, tj[has]]))),
-                     shape=(m0 + len(mirrored), n))
-
+    ti, tj = np.array(list(coef), dtype=np.intp).reshape(-1, 2).T
+    tv = np.array(list(coef.values()), dtype=float)
+    obj = ti < 0
     c = np.zeros(n)
-    for j, v in obj_coef.items():
-        c[j] = v
+    c[tj[obj]] = tv[obj]
+    ti, tj, tv = ti[~obj], tj[~obj], tv[~obj]
+    A = sp.coo_array((tv * sign[ti], (ti, tj)), shape=(m0, n)).tocsr()
+    A = sp.vstack([A, -A[np.array(list(mirror), dtype=np.intp)]])
+
     is_int = np.array(col_int, dtype=bool)
     lb = np.zeros(n)
     ub = np.where(is_int, 1.0, math.inf)
@@ -313,13 +270,14 @@ def read_mps(source) -> MilpProblem:
 
     return MilpProblem(
         c=c,
-        obj_const=obj_const,
+        obj_const=-rhs[-1] if -1 in rhs else 0.0,
         A=A,
-        relations=np.array(rels + [Relation.LE] * len(mirrored), dtype=np.int8),
-        b=np.array(bvec + mirror_rhs, dtype=float),
+        relations=np.array(rels + [Relation.LE] * len(mirror), dtype=np.int8),
+        b=np.array(bvec + list(mirror.values()), dtype=float),
         lb=lb,
         ub=ub,
         is_int=is_int,
         labels=list(col_index),
-        row_labels=row_names + [row_names[i] + "#r" for i in mirrored],
+        row_labels=row_names + [row_names[i] + "#r" for i in mirror],
     )
+

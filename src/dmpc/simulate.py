@@ -51,8 +51,12 @@ __all__ = [
     "comfort_violation",
 ]
 
-TRACE_HEADER = ("t", "minutes", "T_indoor", "r", "s", "u_watts", "slack",
-                "energy_kwh_cum")
+# trace CSV column -> the type it is read back as; floats are written with
+# repr, the shortest string that parses back to the same float
+TRACE_COLUMNS = {"t": int, "minutes": float, "T_indoor": float, "r": float,
+                 "s": int, "u_watts": float, "slack": float,
+                 "energy_kwh_cum": float}
+TRACE_HEADER = tuple(TRACE_COLUMNS)
 
 # tie nudge: the MILP's weak mode guards overlap the relay's strict ones
 # exactly on the switching boundary, and simplex vertices land there
@@ -218,28 +222,16 @@ def simulate_dmpc(
 
 # ------------------------------------------------------------------ trace I/O
 
-def _cell(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
-
-
 def write_trace_csv(trace: ClosedLoopTrace, destination) -> None:
     """CSV with shortest-round-trip floats, so audits survive the file."""
     with text_file(destination, "w") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRACE_HEADER)
-        for i in range(len(trace.t)):
-            w.writerow([
-                trace.t[i],
-                _cell(trace.t[i] * trace.dt_minutes),
-                _cell(trace.T_indoor[i]),
-                _cell(trace.r[i]),
-                trace.s[i],
-                _cell(trace.u_watts[i]),
-                _cell(trace.slack[i]),
-                _cell(trace.energy_kwh_cum[i]),
-            ])
+        minutes = [t * trace.dt_minutes for t in trace.t]
+        for row in zip(trace.t, minutes, trace.T_indoor, trace.r, trace.s,
+                       trace.u_watts, trace.slack, trace.energy_kwh_cum):
+            w.writerow([str(v) if kind is int else repr(float(v))
+                        for kind, v in zip(TRACE_COLUMNS.values(), row)])
 
 
 def read_trace_rows(source) -> list:
@@ -253,16 +245,10 @@ def read_trace_rows(source) -> list:
             if None in rec or None in rec.values():  # a cell too many or too few
                 raise ValueError(f"line {reader.line_num}: expected "
                                  f"{len(TRACE_HEADER)} cells")
-            rows.append({
-                "t": int(rec["t"]),
-                "minutes": float(rec["minutes"]),
-                "T_indoor": float(rec["T_indoor"]),
-                "r": float(rec["r"]),
-                "s": int(rec["s"]),
-                "u_watts": float(rec["u_watts"]),
-                "slack": float(rec["slack"]),
-                "energy_kwh_cum": float(rec["energy_kwh_cum"]),
-            })
+            try:
+                rows.append({k: kind(rec[k]) for k, kind in TRACE_COLUMNS.items()})
+            except ValueError as err:
+                raise ValueError(f"line {reader.line_num}: {err}") from None
         return rows
 
 

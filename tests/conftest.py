@@ -43,7 +43,7 @@ def highs_milp(problem):
     """``scipy.optimize.milp`` on ``problem``; ``fun`` leaves out
     ``problem.obj_const``."""
     lo = np.where(problem.relations == Relation.EQ, problem.b, -np.inf)
-    cons = LinearConstraint(problem.A, lo, problem.b)
+    cons = LinearConstraint(problem.A_csr, lo, problem.b)
     return milp(
         problem.c,
         constraints=[cons] if problem.n_rows else [],

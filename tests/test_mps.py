@@ -83,6 +83,79 @@ def test_objective_constant_survives():
     assert back.obj_const == pytest.approx(2.5)
 
 
+# Every kind of line the writer emits, recorded byte for byte: an MI and an
+# LO bound, an integer column boxed inside [0, 1] (LI/UI), FX and BV
+# bounds, an empty column (its -0.0 cost writes as OBJ 0), an objective
+# constant, a zero RHS (no line) and three separate integer runs.
+EVERY_LINE_KIND = """\
+NAME          DMPC
+ROWS
+ N  OBJ
+ L  R0000001
+ E  R0000002
+ L  R0000003
+COLUMNS
+    C0000001  OBJ       1.5
+    C0000001  R0000001  2
+    C0000001  R0000002  -1
+    MARK0000  'MARKER'                 'INTORG'
+    C0000002  OBJ       -1
+    C0000002  R0000001  1
+    MARK0001  'MARKER'                 'INTEND'
+    C0000003  R0000002  4
+    C0000003  R0000003  1
+    MARK0002  'MARKER'                 'INTORG'
+    C0000004  R0000001  0.1
+    C0000004  R0000003  0.5
+    MARK0003  'MARKER'                 'INTEND'
+    C0000005  OBJ       2
+    C0000005  R0000002  1
+    C0000006  OBJ       0
+    MARK0004  'MARKER'                 'INTORG'
+    C0000007  OBJ       1e+16
+    C0000007  R0000001  -3
+    C0000007  R0000003  1
+    MARK0005  'MARKER'                 'INTEND'
+RHS
+    RHS       OBJ       -2.5
+    RHS       R0000001  5
+    RHS       R0000003  -2.5
+RANGES
+BOUNDS
+ MI BND       C0000001
+ UP BND       C0000001  4
+ BV BND       C0000002
+ LO BND       C0000003  2.5
+ LI BND       C0000004  0
+ UI BND       C0000004  0.5
+ FX BND       C0000005  3
+ BV BND       C0000007
+ENDATA
+"""
+
+
+def test_writer_text_for_every_line_kind():
+    inf = np.inf
+    LE, EQ = Relation.LE, Relation.EQ
+    prob = make_milp(
+        #  x0    x1   x2   x3   x4    x5    x6
+        c=[1.5, -1.0, 0.0, 0.0, 2.0, -0.0, 1e16],
+        A=[[2.0, 1.0, 0.0, 0.1, 0.0, 0.0, -3.0],
+           [-1.0, 0.0, 4.0, 0.0, 1.0, 0.0, 0.0],
+           [0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 1.0]],
+        relations=[LE, EQ, LE],
+        b=[5.0, 0.0, -2.5],
+        lb=[-inf, 0.0, 2.5, 0.0, 3.0, 0.0, 0.0],
+        ub=[4.0, 1.0, inf, 0.5, 3.0, inf, 1.0],
+        is_int=[False, True, False, True, False, False, True],
+    )
+    prob.obj_const = 2.5
+    buf = io.StringIO()
+    export_mps(prob, buf)
+    assert buf.getvalue() == EVERY_LINE_KIND
+    assert_same_problem(round_trip(prob), prob)
+
+
 # The reader paths below are never produced by export_mps; each file is
 # compared against a problem built by hand.
 
@@ -258,7 +331,8 @@ MALFORMED = "NAME X\nROWS\n N  COST\n L  R1\n{rows}COLUMNS\n    X  R1  1\n{tail}
     ("", "    Y  R1  1  R1\n", "line 7: a name, then"),
     ("", "RHS\n    RHS  R1  1  R1\n", "line 8: a name, then"),
     ("", "RANGES\n    RNG  R1\n", "line 8: a name, then"),
-], ids=["rows", "bounds", "columns", "rhs", "ranges"])
+    ("", "    Y  R1  abc\n", "line 7: could not convert string to float"),
+], ids=["rows", "bounds", "columns", "rhs", "ranges", "non_numeric"])
 def test_reader_rejects_malformed_line(rows, tail, error):
     with pytest.raises(ValueError, match=error):
         read_mps(io.StringIO(MALFORMED.format(rows=rows, tail=tail)))

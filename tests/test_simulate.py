@@ -130,12 +130,14 @@ def test_reader_rejects_foreign_header():
         read_trace_rows(io.StringIO("a,b,c\n1,2,3\n"))
 
 
-@pytest.mark.parametrize("row", ["0,0.0,21.0,21.0,0,0.0,0.0",
-                                 "0,0.0,21.0,21.0,0,0.0,0.0,0.0,7"],
-                         ids=["missing_cell", "extra_cell"])
-def test_reader_rejects_malformed_row(row):
+@pytest.mark.parametrize("row, error", [
+    ("0,0.0,21.0,21.0,0,0.0,0.0", "line 3: expected 8 cells"),
+    ("0,0.0,21.0,21.0,0,0.0,0.0,0.0,7", "line 3: expected 8 cells"),
+    ("0,0.0,21.0,x,0,0.0,0.0,0.0", "line 3: could not convert string to float"),
+], ids=["missing_cell", "extra_cell", "non_numeric"])
+def test_reader_rejects_malformed_row(row, error):
     text = ",".join(TRACE_HEADER) + "\n0,0.0,21.0,21.0,0,0.0,0.0,0.0\n" + row + "\n"
-    with pytest.raises(ValueError, match="line 3: expected 8 cells"):
+    with pytest.raises(ValueError, match=error):
         read_trace_rows(io.StringIO(text))
 
 
