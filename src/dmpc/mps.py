@@ -193,14 +193,14 @@ def read_mps(source) -> MilpProblem:
                     raise ValueError("only minimization is supported")
             elif section == "ROWS":
                 t, name = tok[0].upper(), tok[1]
+                if name == obj_row or name in free_rows or name in row_index:
+                    raise ValueError(f"duplicate row {name!r}")
                 if t == "N":
                     if obj_row is None:
                         obj_row = name
                     else:
                         free_rows.add(name)
                 elif t in ("L", "G", "E"):
-                    if name in row_index:
-                        raise ValueError(f"duplicate row {name!r}")
                     row_index[name] = len(row_index)
                     row_type.append(t)
                 else:

@@ -21,12 +21,18 @@ local constraints are gated:
 
 The hull model's LP relaxation is never looser than the big-M model's,
 which is the property the branch-and-bound study quantifies.
+
+Each lowering records where the model variables' bounds went, and
+:func:`retarget` rewrites those places for new bounds, giving what a fresh
+lowering would, array for array, or None where the structure would change.
+``thermostat.build_thermostat_mpc`` keeps one lowering per model structure
+and re-targets it to each plan's initial state.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +45,7 @@ __all__ = [
     "cnf_to_linear",
     "to_bigm",
     "to_hull",
+    "retarget",
     "indicator_columns",
 ]
 
@@ -108,7 +115,31 @@ def _require_valid(model: GdpModel):
         raise ValueError("invalid model: " + "; ".join(problems))
 
 
-def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
+@dataclass(frozen=True)
+class _BoundSites:
+    """Where a lowering put the model variables' bounds; read by :func:`retarget`.
+
+    ``lb``/``ub`` are the model bounds it lowered. The hull copy in column
+    ``copy_cols[k]`` of variable ``copy_vars[k]`` has the box
+    ``[min(l, 0), max(u, 0)]``. The coefficient ``A_csr.data[term_pos[k]]``
+    is ``l`` of variable ``term_vars[k]``, or ``-u`` where ``term_upper[k]``.
+    The bounds of the ``frozen`` variables decide more than these places:
+    which indicators the hull's pinned values fix at 0 (and with that
+    whether a unit clause becomes a bound or a row), or a big-M constant
+    taken from the box.
+    """
+
+    lb: np.ndarray
+    ub: np.ndarray
+    copy_cols: np.ndarray
+    copy_vars: np.ndarray
+    term_pos: np.ndarray
+    term_vars: np.ndarray
+    term_upper: np.ndarray
+    frozen: np.ndarray
+
+
+def _lower(model: GdpModel, disjunction_rows, frozen=()) -> MilpProblem:
     """Scaffolding shared by both reformulations; the one owner of columns.
 
     Columns are the model's variables, then per disjunction its indicators
@@ -124,20 +155,30 @@ def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
     one) instead of a row, unless the bound it would set is already out of
     the indicator's range; then it stays a row and the MILP stays
     infeasible rather than turning invalid.
+
+    The problem also records where the model's bounds went, for
+    :func:`retarget`: a column made with ``column(..., copy_of=j)`` is a
+    hull copy of variable ``j``, a row may carry a fifth item
+    ``(column, j, upper)`` naming its coefficient that is ``l`` (or ``-u``)
+    of variable ``j``, and ``frozen`` lists the variables whose bounds
+    shape more than that.
     """
     labels = [v.name for v in model.variables]
     lb, ub = map(list, model.bounds())
+    copies, terms = [], []
 
-    def column(label, lo, hi) -> int:
+    def column(label, lo, hi, copy_of=None) -> int:
         labels.append(label)
         lb.append(lo)
         ub.append(hi)
+        if copy_of is not None:
+            copies.extend((len(labels) - 1, copy_of))
         return len(labels) - 1
 
     tri_i, tri_j, tri_v = [], [], []
     rels, rhs, row_labels = [], [], []
 
-    def emit(coeffs: dict, relation, rhs_val, label):
+    def emit(coeffs: dict, relation, rhs_val, label, term=None):
         i = len(rels)
         for j, c in coeffs.items():
             tri_i.append(i)
@@ -146,6 +187,8 @@ def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
         rels.append(relation)
         rhs.append(float(rhs_val))
         row_labels.append(label)
+        if term is not None:
+            terms.extend((i, *term))
 
     for k, con in enumerate(model.global_constraints):
         con = con.normalized()
@@ -180,7 +223,7 @@ def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
     is_int = np.zeros(n_tot, dtype=bool)
     is_int[list(ind_map.values())] = True
 
-    return MilpProblem(
+    problem = MilpProblem(
         c=c_vec,
         obj_const=model.objective.constant,
         A=sp.coo_array((tri_v, (tri_i, tri_j)), shape=(len(rels), n_tot)),
@@ -191,6 +234,33 @@ def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
         is_int=is_int,
         labels=labels,
         row_labels=row_labels,
+    )
+    problem._bound_sites = _bound_sites(problem, n, copies, terms, frozen)
+    return problem
+
+
+def _bound_sites(problem: MilpProblem, n: int, copies, terms, frozen) -> _BoundSites:
+    """The lowering's record for :func:`retarget`, in O(nonzeros).
+
+    ``copies`` is flat (column, variable) pairs, ``terms`` flat (row,
+    column, variable, upper) quadruples: numpy reads a flat list of ints
+    about ten times faster than a list of tuples.
+    """
+    A = problem.A_csr
+    copies = np.array(copies, dtype=np.int64).reshape(-1, 2)
+    terms = np.array(terms, dtype=np.int64).reshape(-1, 4)
+    # each entry as row * columns + column, ascending in a canonical CSR
+    keys = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+    keys = keys * A.shape[1] + A.indices
+    return _BoundSites(
+        lb=problem.lb[:n].copy(),
+        ub=problem.ub[:n].copy(),
+        copy_cols=copies[:, 0],
+        copy_vars=copies[:, 1],
+        term_pos=np.searchsorted(keys, terms[:, 0] * A.shape[1] + terms[:, 1]),
+        term_vars=terms[:, 2],
+        term_upper=terms[:, 3].astype(bool),
+        frozen=np.array(sorted(frozen), dtype=np.int64),
     )
 
 
@@ -219,7 +289,12 @@ def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProble
                     yield (coeffs, Relation.LE, M - expr.constant,
                            f"bigm[{d},{i},{k}.{h}]")
 
-    return _lower(model, local_rows)
+    # a constant taken from the box moves with the bounds of its row's variables
+    frozen = () if strategy.mode == "fixed" else {
+        j for dis in model.disjunctions for dj in dis.disjuncts
+        for con in dj.local_constraints for j, _ in con.expr.terms
+    }
+    return _lower(model, local_rows, frozen)
 
 
 def _pinned(dis) -> dict:
@@ -256,9 +331,10 @@ def to_hull(model: GdpModel) -> MilpProblem:
     """
     _require_valid(model)
     lb0, ub0 = model.bounds()
+    pins = [_pinned(dis) for dis in model.disjunctions]
 
     def local_rows(d, dis, s, column, ub):
-        pinned = _pinned(dis)
+        pinned = pins[d]
         scope = sorted(
             {
                 j
@@ -275,7 +351,7 @@ def to_hull(model: GdpModel) -> MilpProblem:
                 ub[s[i]] = 0.0
         copy = {
             (i, j): column(f"{model.variables[j].name}@d{d}:{i}",
-                           min(lb0[j], 0.0), max(ub0[j], 0.0))
+                           min(lb0[j], 0.0), max(ub0[j], 0.0), copy_of=j)
             for i in range(L) for j in copied
         }
         # aggregation y = sum of copies, or y = sum_i c_i s_i when pinned
@@ -301,12 +377,64 @@ def to_hull(model: GdpModel) -> MilpProblem:
                 lo, hi = lb0[j], ub0[j]
                 if lo != 0.0:
                     yield ({s[i]: lo, copy[(i, j)]: -1.0}, Relation.LE, 0.0,
-                           f"lbnd[{d},{i},{j}]")
+                           f"lbnd[{d},{i},{j}]", (s[i], j, False))
                 if hi != 0.0:
                     yield ({copy[(i, j)]: 1.0, s[i]: -hi}, Relation.LE, 0.0,
-                           f"ubnd[{d},{i},{j}]")
+                           f"ubnd[{d},{i},{j}]", (s[i], j, True))
 
-    return _lower(model, local_rows)
+    # a pinned variable's box decides which indicators are fixed at 0
+    return _lower(model, local_rows, {j for pinned in pins for j in pinned})
+
+
+def retarget(problem: MilpProblem, lb, ub) -> MilpProblem | None:
+    """``problem``'s model lowered again with the variable bounds ``lb``, ``ub``.
+
+    ``problem`` comes from :func:`to_hull`, :func:`to_bigm` or this
+    function. The result is a new problem, sharing no array with
+    ``problem``, equal array for array to a fresh lowering of the same
+    model with those bounds: the model columns' own bounds, the hull
+    copies' boxes ``[min(l, 0), max(u, 0)]`` and the bound-row
+    coefficients ``l`` and ``-u`` are rewritten, and nothing else moves.
+    Returns None where that lowering would differ in more than those
+    places, so a caller lowers afresh: a bound row that would appear or
+    vanish (a side turning zero or nonzero), a bound of a pinned variable
+    or of a big-M constant's row (``BigMStrategy.from_bounds``) that moves,
+    or bounds the lowering would reject.
+    """
+    sites = getattr(problem, "_bound_sites", None)
+    lb, ub = np.array(lb, dtype=float), np.array(ub, dtype=float)
+    if sites is None or lb.shape != sites.lb.shape or ub.shape != sites.ub.shape:
+        return None
+    if not (np.isfinite(lb).all() and np.isfinite(ub).all()) or np.any(lb > ub):
+        return None
+    f, cv = sites.frozen, sites.copy_vars
+    if (lb[f].tobytes() != sites.lb[f].tobytes()
+            or ub[f].tobytes() != sites.ub[f].tobytes()
+            or np.any((lb[cv] != 0.0) != (sites.lb[cv] != 0.0))
+            or np.any((ub[cv] != 0.0) != (sites.ub[cv] != 0.0))):
+        return None
+    col_lb, col_ub = problem.lb.copy(), problem.ub.copy()
+    col_lb[: lb.size], col_ub[: ub.size] = lb, ub
+    # min(l, 0.0) and max(u, 0.0) as to_hull takes them, signed zeros included
+    col_lb[sites.copy_cols] = np.where(lb[cv] > 0.0, 0.0, lb[cv])
+    col_ub[sites.copy_cols] = np.where(ub[cv] < 0.0, 0.0, ub[cv])
+    A, tv = problem.A_csr, sites.term_vars
+    data = A.data.copy()
+    data[sites.term_pos] = np.where(sites.term_upper, -ub[tv], lb[tv])
+    out = MilpProblem(
+        c=problem.c.copy(),
+        obj_const=problem.obj_const,
+        A=sp.csr_array((data, A.indices, A.indptr), shape=A.shape),
+        relations=problem.relations.copy(),
+        b=problem.b.copy(),
+        lb=col_lb,
+        ub=col_ub,
+        is_int=problem.is_int.copy(),
+        labels=list(problem.labels),
+        row_labels=list(problem.row_labels),
+    )
+    out._bound_sites = replace(sites, lb=lb, ub=ub)
+    return out
 
 
 def indicator_columns(problem: MilpProblem) -> dict:

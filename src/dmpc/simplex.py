@@ -246,10 +246,12 @@ class SimplexEngine:
             v -= self._G[:k].T @ t
         return v
 
-    def _btran(self, rhs: np.ndarray) -> np.ndarray:
+    def _btran(self, rhs: np.ndarray, r: int | None = None) -> np.ndarray:
+        """B^-T rhs; with ``r``, rhs is e_r and ``G @ e_r`` is G's column r."""
         k = self._k
         if k:
-            t = _tpsv(k, self._L, self._G[:k] @ rhs, trans=0, overwrite_x=1)
+            Gc = self._G[:k] @ rhs if r is None else self._G[:k, r].copy()
+            t = _tpsv(k, self._L, Gc, trans=0, overwrite_x=1)
             rhs = rhs.copy()
             np.subtract.at(rhs, self._P[:k], t)  # a row may pivot repeatedly
         return self._lu.solve(rhs, trans="T")
@@ -639,7 +641,7 @@ class SimplexEngine:
 
             e = np.zeros(self.m)
             e[r] = 1.0
-            alpha = self.KT @ self._btran(e)
+            alpha = self.KT @ self._btran(e, r)
 
             # an entering column must push row r back toward its bound
             moves = alpha * self._dir

@@ -22,7 +22,9 @@ indicators of the modes that heat, with no disaggregated copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+import threading
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .gdp import (
     Variable,
 )
 from .milp import MilpProblem, Relation
-from .reformulate import BigMStrategy, to_bigm, to_hull
+from .reformulate import BigMStrategy, retarget, to_bigm, to_hull
 
 __all__ = [
     "ON",
@@ -182,6 +184,17 @@ def initial_state(x0) -> np.ndarray:
     return x0
 
 
+def _checked(x0, s0, N, params, building) -> tuple:
+    """``(x0, params, building)`` with defaults filled in; ValueError on bad input."""
+    if N < 1:
+        raise ValueError("horizon must be at least 1")
+    if s0 not in (ON, OFF):
+        raise ValueError("s0 must be ON or OFF")
+    p = params if params is not None else ThermostatParams()
+    b = building if building is not None else default_building()
+    return initial_state(x0), p, b
+
+
 def build_thermostat_gdp(
     x0,
     s0: int,
@@ -189,14 +202,12 @@ def build_thermostat_gdp(
     params: ThermostatParams | None = None,
     building: BuildingModel | None = None,
 ) -> GdpModel:
-    """Disjunctive MPC model; disjunction t picks the mode of period t."""
-    if N < 1:
-        raise ValueError("horizon must be at least 1")
-    if s0 not in (ON, OFF):
-        raise ValueError("s0 must be ON or OFF")
-    p = params if params is not None else ThermostatParams()
-    b = building if building is not None else default_building()
-    x0 = initial_state(x0)
+    """Disjunctive MPC model; disjunction t picks the mode of period t.
+
+    ``x0`` enters as the bounds ``lb = ub = x0`` of the columns ``x[0,j]``
+    and nowhere else.
+    """
+    x0, p, b = _checked(x0, s0, N, params, building)
 
     lay = ThermostatLayout(N)
     variables = []
@@ -280,6 +291,11 @@ VARIANTS = ("gdp_hull", "gdp_bigm")
 _VARIANT_ALIASES = {"hull": "gdp_hull", "bigm": "gdp_bigm"}
 
 
+LOWERED_KEPT = 16  # lowered structures build_thermostat_mpc keeps, least recent out
+_lowered = None  # {structure key: (private lowered problem, model lb, model ub)}
+_lowered_lock = threading.Lock()
+
+
 def build_thermostat_mpc(
     x0,
     s0: int,
@@ -295,11 +311,47 @@ def build_thermostat_mpc(
     ``gdp_bigm`` (alias ``bigm``) for big-M with the fixed constant ``M``;
     for this problem class the textbook mixed-logical model coincides
     row for row with the latter.
+
+    Two calls that differ only in ``x0`` differ only in a few bounds and,
+    under the hull, a few bound-row coefficients. So the lowering of each
+    structure is kept, keyed by everything but ``x0``: ``N``, the variant,
+    ``M`` (big-M only), ``s0``, the bits of ``params`` and of the
+    building's ``A``, ``B`` and ``dt_minutes``. A call whose key was seen
+    re-targets that lowering to its ``x0`` (``reformulate.retarget``) and
+    builds no GDP; where ``retarget`` declines, as the hull does when
+    ``x0[3]`` turns zero or nonzero and a bound row would vanish or appear,
+    the call builds and lowers afresh. Either way the result equals a fresh
+    ``to_hull``/``to_bigm`` of ``build_thermostat_gdp``'s model array for
+    array and shares no array with any other call's. The last
+    ``LOWERED_KEPT`` structures are kept; the store is made on first use.
     """
+    global _lowered
     canon = _VARIANT_ALIASES.get(variant, variant)
     if canon not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
-    model = build_thermostat_gdp(x0, s0, N, params, building)
-    if canon == "gdp_hull":
-        return to_hull(model)
-    return to_bigm(model, BigMStrategy.fixed(M))
+    x0, p, b = _checked(x0, s0, N, params, building)
+    bigm = canon == "gdp_bigm"
+    key = (operator.index(N), canon, s0, b.A.tobytes(), b.B.tobytes(),
+           np.array((*astuple(p), b.dt_minutes, M if bigm else 0.0), dtype=float).tobytes())
+    with _lowered_lock:
+        if _lowered is None:
+            _lowered = {}
+        entry = _lowered.pop(key, None)
+        if entry is not None:
+            _lowered[key] = entry  # most recent last
+    problem = None
+    if entry is not None:
+        template, lb, ub = entry
+        lb, ub = lb.copy(), ub.copy()
+        lb[:4] = ub[:4] = x0  # the columns x[0,j], first in ThermostatLayout
+        problem = retarget(template, lb, ub)
+    if problem is None:
+        model = build_thermostat_gdp(x0, s0, N, p, b)
+        problem = to_bigm(model, BigMStrategy.fixed(M)) if bigm else to_hull(model)
+        lb, ub = model.bounds()
+        entry = (retarget(problem, lb, ub), lb, ub)  # a private copy
+        with _lowered_lock:
+            _lowered[key] = entry
+            if len(_lowered) > LOWERED_KEPT:
+                del _lowered[next(iter(_lowered))]
+    return problem

@@ -296,6 +296,16 @@ def test_reader_rejects_duplicate_row():
         read_mps(io.StringIO(text))
 
 
+@pytest.mark.parametrize("rows", [" N  COST\n L  COST\n", " L  COST\n N  COST\n"],
+                         ids=["objective_first", "constraint_first"])
+def test_reader_rejects_a_name_shared_by_the_objective_and_a_row(rows):
+    # either order used to keep one of the two rows and drop the other's data
+    text = ("ROWS\n" + rows + "COLUMNS\n    X  COST  2\n"
+            "RHS\n    RHS  COST  3\nENDATA\n")
+    with pytest.raises(ValueError, match="line 3: duplicate row 'COST'"):
+        read_mps(io.StringIO(text))
+
+
 ONE_ROW = "NAME X\n{head}ROWS\n N  COST\n L  R1\n{ranges}ENDATA\n"
 
 

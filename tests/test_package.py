@@ -4,7 +4,10 @@ import ast
 import importlib
 import io
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +55,17 @@ def test_file_arguments_take_paths_and_open_files(tmp_path):
     write_report(report, buf)
     assert not buf.closed
     assert buf.getvalue() == (tmp_path / "report.json").read_text()
+
+
+def test_import_loads_no_cli_and_no_optimizer():
+    # a fresh interpreter pays for what ``import dmpc`` loads: the CLI and
+    # scipy.optimize (HiGHS) load on demand, and the lowering store on first build
+    probe = ("import sys, dmpc, dmpc.thermostat as t; "
+             "print(sorted({'dmpc.cli', 'scipy.optimize'} & set(sys.modules)), t._lowered)")
+    src = str(Path(dmpc.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert out.stdout.split() == ["[]", "None"]
 
 
 def _unused_imports(path):
