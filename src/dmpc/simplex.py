@@ -11,29 +11,9 @@ logical column per row (slack for LE rows, fixed at zero for EQ rows),
 then one artificial column per row for the phase-1 start, whose sign
 ``s_i`` each cold start sets to that of the row's initial residual.
 Columns, basis matrices, residuals ``b - K x`` and reduced costs
-``c - K^T y`` are all read off ``K``.
-
-The basis inverse is a sparse LU factorization of a recent basis ``B0``
-plus a product-form eta file, refactorized after at most ``ETA_MAX``
-pivots: after k pivots ``B = B0 E_1 ... E_k`` with
-``E_i = I + g_i e_{p_i}^T``, where ``p_i`` is the pivot row, ``w_i`` the
-FTRAN'd entering column and ``g_i = w_i - e_{p_i}``. The etas are stacked
-in arrays rather than applied one by one: the rows of ``G`` are the
-``g_i``, ``P`` holds the pivot rows, and the lower-triangular ``L``
-(``L_ii = w_i[p_i]``, ``L_ij = g_j[p_i]`` for ``j < i``) couples them. ``L``
-is stored packed row by row, so appending an eta costs O(k). Applying all
-k etas is one triangular solve and one matrix-vector product:
-
-    FTRAN   v = B0^-1 a;   t = L^-1 v[P];          v -= G^T t
-    BTRAN   t = L^-T (G c); c[P] -= t (repeats add); y = B0^-T c
-
-A :class:`Basis` snapshot taken while the factorization is fresh carries
-it: the LU object, which is read-only once built and so can be shared,
-the first k rows of ``G``, ``P`` and ``L``, and a token naming the ``K``
-those factors belong to. Loading the snapshot back into the engine that
-took it, while ``K`` is unchanged, resumes that factorization instead of
-refactoring; any other load refactors. This is how a branch-and-bound
-node resumes its parent's LP.
+``c - K^T y`` are all read off ``K``. The basis inverse is a
+:class:`_Factor`, which a :class:`Basis` snapshot can carry: that is how
+a branch-and-bound node resumes its parent's LP.
 
 The primal prices by Dantzig (most negative reduced cost), with Bland's
 rule, the engine's only anti-cycling rule, after a run of degenerate
@@ -70,6 +50,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import get_blas_funcs
+from scipy.sparse.csgraph import structural_rank
 from scipy.sparse.linalg import splu
 
 from .milp import MilpProblem, Relation
@@ -90,7 +71,7 @@ _AT_UPPER = 1
 _FREE = 2
 _BASIC = 3
 
-# packed triangular solve for the eta file's L (see the module docstring)
+# packed triangular solve for the eta file's L (see _Factor)
 _tpsv = get_blas_funcs("tpsv", dtype=np.float64)
 
 
@@ -119,15 +100,13 @@ class LpResult:
 class Basis:
     """Snapshot of a basis: basic column indices plus all column statuses.
 
-    ``factor`` is ``(token, lu, G, P, L)``, the factorization of the basis
-    with its k etas (the rows ``G[:k]``, ``P[:k]`` and the packed
-    ``L[:k(k+1)/2]``), when the snapshot was taken on a fresh one; None
-    otherwise.
+    ``factor`` is a copy of the basis's :class:`_Factor` when that was
+    trusted; None otherwise.
     """
 
     basis: np.ndarray
     vstat: np.ndarray
-    factor: tuple | None = None
+    factor: _Factor | None = None
 
 
 def check_point(problem: MilpProblem, point) -> float:
@@ -149,6 +128,87 @@ def check_point(problem: MilpProblem, point) -> float:
         if np.any(~le):
             worst = max(worst, float(np.max(np.abs(res[~le]))))
     return worst
+
+
+class _Factor:
+    """A basis factorization: the sparse LU of a recent basis ``B0``, a
+    product-form eta file, and the token of the ``K`` they were read from.
+
+    After k pivots ``B = B0 E_1 ... E_k`` with ``E_i = I + g_i e_{p_i}^T``,
+    where ``p_i`` is the pivot row, ``w_i`` the FTRAN'd entering column
+    and ``g_i = w_i - e_{p_i}``. The etas are stacked in arrays rather than
+    applied one by one: the rows of ``G`` are the ``g_i``, ``P`` holds the
+    pivot rows, and the lower-triangular ``L`` (``L_ii = w_i[p_i]``,
+    ``L_ij = g_j[p_i]`` for ``j < i``) couples them. ``L`` is packed row by
+    row, so a push costs O(k). Applying all k etas is one triangular solve
+    and one matrix-vector product:
+
+        FTRAN   v = B0^-1 a;   t = L^-1 v[P];          v -= G^T t
+        BTRAN   t = L^-T (G c); c[P] -= t (repeats add); y = B0^-T c
+
+    The factors of one engine share its one buffer of ``ETA_MAX`` eta rows;
+    a snapshot shares the LU, read-only once built, and copies k rows.
+    """
+
+    def __init__(self, token, lu, G, P, L, k=0):
+        self.token, self.lu, self.G, self.P, self.L, self.k = token, lu, G, P, L, k
+
+    @staticmethod
+    def buffers(m: int):  # G, P and L for bases of m rows
+        return (np.empty((ETA_MAX, m)), np.empty(ETA_MAX, dtype=np.int64),
+                np.empty(ETA_MAX * (ETA_MAX + 1) // 2))
+
+    @classmethod
+    def refactor(cls, K, basis, token, buffers) -> _Factor:
+        """The LU of ``K[:, basis]``, with an empty eta file in ``buffers``.
+        Raises RuntimeError, as SuperLU does on a singular matrix, on a
+        structurally singular basis, which can crash SuperLU; two equal
+        columns of two nonzeros still match two rows, so they count apart."""
+        B = K[:, basis]
+        if np.bincount(basis).max(initial=0) > 1 or structural_rank(B) < B.shape[0]:
+            raise RuntimeError("structurally singular basis")
+        return cls(token, splu(B, permc_spec="COLAMD"), *buffers)
+
+    full = property(lambda self: self.k >= ETA_MAX)  # the next pivot must refactor
+    has_etas = property(lambda self: self.k > 0)
+
+    def push(self, r: int, w: np.ndarray):
+        """Record the pivot on row ``r`` with FTRAN'd entering column ``w``."""
+        k = self.k
+        self.G[k] = w
+        self.G[k, r] -= 1.0
+        self.P[k] = r
+        o = k * (k + 1) // 2
+        self.L[o : o + k] = self.G[:k, r]
+        self.L[o + k] = w[r]
+        self.k = k + 1
+
+    def ftran(self, rhs: np.ndarray) -> np.ndarray:
+        v = self.lu.solve(rhs)
+        k = self.k
+        if k:
+            t = _tpsv(k, self.L, v[self.P[:k]], trans=1, overwrite_x=1)
+            v -= self.G[:k].T @ t
+        return v
+
+    def btran(self, rhs: np.ndarray, r: int | None = None) -> np.ndarray:
+        """B^-T rhs; with ``r``, rhs is e_r and ``G @ e_r`` is G's column r."""
+        k = self.k
+        if k:
+            Gc = self.G[:k] @ rhs if r is None else self.G[:k, r].copy()
+            t = _tpsv(k, self.L, Gc, trans=0, overwrite_x=1)
+            rhs = rhs.copy()
+            np.subtract.at(rhs, self.P[:k], t)  # a row may pivot repeatedly
+        return self.lu.solve(rhs, trans="T")
+
+    def copy(self, into=None) -> _Factor:
+        """This factorization with its k etas copied: into the buffers
+        ``into`` to restore it, else into arrays of k rows, a snapshot."""
+        k, n = self.k, self.k * (self.k + 1) // 2  # tpsv reads n entries of L
+        G, P, L = into or (np.empty((k, self.G.shape[1])), np.empty(k, np.int64),
+                           np.empty(n))
+        G[:k], P[:k], L[:n] = self.G[:k], self.P[:k], self.L[:n]
+        return _Factor(self.token, self.lu, G, P, L, k)
 
 
 class SimplexEngine:
@@ -187,19 +247,14 @@ class SimplexEngine:
         self.basis = np.empty(m, dtype=np.int64)
         self.vstat = np.empty(self.nt, dtype=np.int8)
         self.x = np.zeros(self.nt)
-        self._lu = None
         self._token = object()  # names this K; renewed when K changes
-        # eta file: G rows g_i, pivot rows P, L packed by rows; k etas in use
-        self._G = np.empty((ETA_MAX, m))
-        self._P = np.empty(ETA_MAX, dtype=np.int64)
-        self._L = np.empty(ETA_MAX * (ETA_MAX + 1) // 2)
-        self._k = 0
+        self._etas = _Factor.buffers(m)  # the eta rows all its factors share
+        self._factor = None  # the basis's factorization; None when untrusted
         # entering direction of each column, and the free ones (_set_dirs)
         self._dir = np.zeros(self.nt)
         self._free = np.zeros(self.nt, dtype=bool)
         self._n_free = 0
         self._have_basis = False
-        self._fresh = False
         self._iters = 0
         self._deg_run = 0  # degeneracy run and Bland's switch (_degeneracy)
         self._bland = False
@@ -212,63 +267,17 @@ class SimplexEngine:
         col[K.indices[lo:hi]] = K.data[lo:hi]
         return col
 
-    def _refactor(self):
-        """Rebuild the sparse LU of the current basis; clear the eta file.
-
-        Raises RuntimeError, as SuperLU does for a singular matrix, when
-        the basis repeats a column or leaves a row empty: SuperLU must
-        never see a structurally singular matrix, which can crash it.
-        """
-        B = self.K[:, self.basis]
-        if (np.bincount(self.basis, minlength=self.nt).max(initial=0) > 1
-                or np.count_nonzero(np.bincount(B.indices, minlength=self.m)) < self.m):
-            raise RuntimeError("structurally singular basis")
-        self._lu = splu(B, permc_spec="COLAMD")
-        self._k = 0
-        self._fresh = True
-
-    def _push_eta(self, r: int, w: np.ndarray):
-        """Record the pivot on row ``r`` with FTRAN'd entering column ``w``."""
-        k = self._k
-        self._G[k] = w
-        self._G[k, r] -= 1.0
-        self._P[k] = r
-        o = k * (k + 1) // 2
-        self._L[o : o + k] = self._G[:k, r]
-        self._L[o + k] = w[r]
-        self._k = k + 1
-
-    def _ftran(self, rhs: np.ndarray) -> np.ndarray:
-        v = self._lu.solve(rhs)
-        k = self._k
-        if k:
-            t = _tpsv(k, self._L, v[self._P[:k]], trans=1, overwrite_x=1)
-            v -= self._G[:k].T @ t
-        return v
-
-    def _btran(self, rhs: np.ndarray, r: int | None = None) -> np.ndarray:
-        """B^-T rhs; with ``r``, rhs is e_r and ``G @ e_r`` is G's column r."""
-        k = self._k
-        if k:
-            Gc = self._G[:k] @ rhs if r is None else self._G[:k, r].copy()
-            t = _tpsv(k, self._L, Gc, trans=0, overwrite_x=1)
-            rhs = rhs.copy()
-            np.subtract.at(rhs, self._P[:k], t)  # a row may pivot repeatedly
-        return self._lu.solve(rhs, trans="T")
-
     def _recompute_basics(self):
         """x_B = B^-1 (b - N x_N) from scratch."""
         xx = self.x.copy()
         xx[self.basis] = 0.0
-        self.x[self.basis] = self._ftran(self.b - self.K @ xx)
+        self.x[self.basis] = self._factor.ftran(self.b - self.K @ xx)
 
     def _reload(self) -> bool:
-        """Refactor the current basis, then recompute x_B from scratch.
-
-        False, with nothing recomputed, when the basis has gone singular.
-        """
+        """Refactor, then recompute x_B; False, recomputing nothing, when
+        the basis has gone singular."""
         try:
-            self._refactor()
+            self._factor = _Factor.refactor(self.K, self.basis, self._token, self._etas)
         except RuntimeError:
             return False
         self._recompute_basics()
@@ -302,7 +311,7 @@ class SimplexEngine:
         self._free[j] = free
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        return c - self.KT @ self._btran(c[self.basis])
+        return c - self.KT @ self._factor.btran(c[self.basis])
 
     def _degeneracy(self, step: float):
         """Count consecutive primal steps of at most ``DEG_EPS``; Bland's rule
@@ -315,13 +324,9 @@ class SimplexEngine:
 
     def snapshot_basis(self, carry: bool = True) -> Basis:
         """The current basis; with ``carry``, also its factorization when
-        fresh. A snapshot meant for another engine, where loading it
+        trusted. A snapshot meant for another engine, where loading it
         refactors anyway, is lighter without (``carry=False``)."""
-        factor = None
-        if carry and self._fresh:
-            k = self._k
-            factor = (self._token, self._lu, self._G[:k].copy(),
-                      self._P[:k].copy(), self._L[: k * (k + 1) // 2].copy())
+        factor = self._factor.copy() if carry and self._factor else None
         return Basis(self.basis.copy(), self.vstat.copy(), factor)
 
     def load_basis(self, snap: Basis):
@@ -341,14 +346,8 @@ class SimplexEngine:
         self.basis = snap.basis.copy()
         self.vstat = snap.vstat.copy()
         self._have_basis = True
-        self._fresh = snap.factor is not None and snap.factor[0] is self._token
-        if self._fresh:
-            # k, P, G and L together: tpsv reads k(k+1)/2 entries of L
-            _, self._lu, G, P, L = snap.factor
-            k = self._k = P.size
-            self._G[:k] = G
-            self._P[:k] = P
-            self._L[: L.size] = L
+        f = snap.factor
+        self._factor = f.copy(self._etas) if f and f.token is self._token else None
 
     def solve(self, lb=None, ub=None, warm: bool = True) -> LpResult:
         """Solve with optionally overridden structural bounds.
@@ -370,7 +369,7 @@ class SimplexEngine:
             return self._solve_unconstrained()
         res = None
         if warm and self._have_basis:
-            carried = self._fresh and self._k > 0
+            carried = self._factor is not None and self._factor.has_etas
             start = self.snapshot_basis(carry=False) if carried else None
             res = self._dual_solve()
             if res is None and carried:
@@ -413,7 +412,7 @@ class SimplexEngine:
         self.x = x
         self.ub[n + m :] = math.inf
         self._have_basis = True
-        self._refactor()
+        self._factor = _Factor.refactor(self.K, self.basis, self._token, self._etas)
 
     def _cold_solve(self) -> LpResult:
         n, m = self.n, self.m
@@ -450,7 +449,7 @@ class SimplexEngine:
         while True:
             if self._iters >= MAX_ITER:
                 return LpStatus.ITERATION_LIMIT
-            if (self._k >= ETA_MAX or not self._fresh) and not self._reload():
+            if (self._factor is None or self._factor.full) and not self._reload():
                 return LpStatus.ITERATION_LIMIT  # singular basis: give up
             if phase_one and float(self.x[n + m :].sum()) <= FEAS_TOL:
                 return LpStatus.OPTIMAL
@@ -476,14 +475,14 @@ class SimplexEngine:
             if stat[q] == _AT_UPPER or (stat[q] == _FREE and d[q] > 0):
                 t_dir = -1.0
 
-            w = self._ftran(self._column(q))
+            w = self._factor.ftran(self._column(q))
             step = self._ratio_and_pivot(q, t_dir, w)
             if step is None:
                 if not phase_one:
                     return LpStatus.UNBOUNDED
-                if not self._k:  # no step even on a fresh factorization
+                if not self._factor.has_etas:  # no step even on a fresh LU
                     return LpStatus.ITERATION_LIMIT
-                self._fresh = False  # numerically impossible; refactor, retry
+                self._factor = None  # numerically impossible; refactor, retry
 
     def _ratio_and_pivot(self, q: int, t_dir: float, w: np.ndarray):
         """Bounded-variable Harris ratio test, then pivot or bound flip.
@@ -569,16 +568,16 @@ class SimplexEngine:
         self.vstat[q] = _BASIC
         self._set_dir(q)
         self._set_dir(leave)
-        self._push_eta(r, w)
+        self._factor.push(r, w)
         if abs(w[r]) < 1e-5 * max(1.0, float(np.abs(w).max())):
-            self._fresh = False  # marginal pivot: refactor before trusting it
+            self._factor = None  # marginal pivot: refactor before trusting it
         self._iters += 1
 
     # ----------------------------------------------------------- dual path
 
     def _dual_solve(self):
         """Warm re-solve after bound edits; None means fall back to cold."""
-        if not (self._fresh or self._reload()):
+        if self._factor is None and not self._reload():
             return None
         d = self._reduced_costs(self.c2)
         stat = self.vstat
@@ -617,7 +616,7 @@ class SimplexEngine:
             if self._iters >= budget:
                 return None
             # the one refactor site; d is exact while the eta file is empty
-            if self._k >= ETA_MAX or not self._fresh:
+            if self._factor is None or self._factor.full:
                 if not self._reload():
                     return None
                 d = self._reduced_costs(self.c2)
@@ -641,7 +640,7 @@ class SimplexEngine:
 
             e = np.zeros(self.m)
             e[r] = 1.0
-            alpha = self.KT @ self._btran(e, r)
+            alpha = self.KT @ self._factor.btran(e, r)
 
             # an entering column must push row r back toward its bound
             moves = alpha * self._dir
@@ -651,8 +650,8 @@ class SimplexEngine:
             cols = elig.nonzero()[0]
             if not cols.size:
                 # only certify infeasibility from exact data
-                if self._k:
-                    self._fresh = False
+                if self._factor.has_etas:
+                    self._factor = None
                     continue
                 return LpResult(LpStatus.INFEASIBLE, None, None, self._iters)
 
@@ -662,13 +661,13 @@ class SimplexEngine:
             theta_max = ((mag + FEAS_TOL) / aa).min()
             q = int(cols[np.where(mag / aa <= theta_max, aa, -1.0).argmax()])
 
-            w = self._ftran(self._column(q))
+            w = self._factor.ftran(self._column(q))
             piv = float(w[r])
             if abs(piv) < PIVOT_TOL or piv * alpha[q] <= 0.0:
                 # BTRAN row and FTRAN column disagree: etas went stale
-                if not self._k:
+                if not self._factor.has_etas:
                     return None  # inconsistent even when fresh; go cold
-                self._fresh = False
+                self._factor = None
                 continue
 
             theta_d = d[q] / piv

@@ -22,9 +22,10 @@ indicators of the modes that heat, with no disaggregated copies.
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -84,6 +85,9 @@ class BuildingModel:
         B = np.asarray(self.B, dtype=float).reshape(-1)
         if A.shape != (4, 4) or B.shape != (4,):
             raise ValueError("A must be 4x4 and B must hold four values")
+        for name, value in (("A", A), ("B", B), ("dt_minutes", self.dt_minutes)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -109,6 +113,12 @@ class ThermostatParams:
     beta: float = 1e5
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)) and f.name != "gamma":
+                raise ValueError(f"{f.name} must be finite")
+        # gamma = inf is the band of a relay that never switches
+        if not -math.inf < self.gamma <= math.inf:
+            raise ValueError("gamma must be finite or inf")
         if self.theta <= 0 or self.gamma <= 0:
             raise ValueError("theta and gamma must be positive")
         if self.u_max <= 0:

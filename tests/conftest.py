@@ -111,7 +111,7 @@ def restored_starts(lp_log, monkeypatch):
 
     def load_basis(self, snap):
         real_load(self, snap)
-        self.restored_by_load = self._fresh
+        self.restored_by_load = self._factor is not None
 
     def solve(self, *args, **kwargs):
         starts.append(getattr(self, "restored_by_load", False))

@@ -2,11 +2,17 @@
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import structural_rank
 
 import dmpc.simplex
 from dmpc.bnb import SolveOptions, SolveStatus
@@ -17,6 +23,7 @@ from dmpc.simplex import (
     Basis,
     LpStatus,
     SimplexEngine,
+    _Factor,
     check_point,
     solve_lp,
 )
@@ -155,7 +162,7 @@ def carried_snapshot():
     assert eng.solve(warm=False).status is LpStatus.OPTIMAL
     assert eng.solve(*pinned(prob, np.flatnonzero(prob.is_int)[3], 0.0)).iterations > 0
     snap = eng.snapshot_basis()
-    assert snap.factor is not None and snap.factor[3].size == eng._k > 0
+    assert snap.factor is not None and snap.factor.P.size == eng._factor.k > 0
     return prob, eng, snap
 
 
@@ -163,13 +170,13 @@ def test_snapshot_resumes_its_factorization_only_in_its_own_engine(monkeypatch):
     prob, eng, snap = carried_snapshot()
     child = pinned(prob, np.flatnonzero(prob.is_int)[6], 1.0)
     refactors = []
-    real_refactor = SimplexEngine._refactor
+    real_refactor = _Factor.refactor
 
-    def refactor(self):
-        refactors.append(self)
-        real_refactor(self)
+    def refactor(cls, *args):
+        refactors.append(args)
+        return real_refactor(*args)
 
-    monkeypatch.setattr(SimplexEngine, "_refactor", refactor)
+    monkeypatch.setattr(_Factor, "refactor", classmethod(refactor))
 
     def resolve(engine, start):
         """Solve ``child`` from ``start``; the result and the refactor count."""
@@ -201,7 +208,9 @@ def test_warm_solve_retries_fresh_before_going_cold(monkeypatch):
     starts, colds = [], []
 
     def dual_solve(self):
-        starts.append((self._fresh, self._k, self.basis.copy(), self.vstat.copy()))
+        f = self._factor
+        starts.append((f is not None, f.k if f else 0,
+                       self.basis.copy(), self.vstat.copy()))
         res = real_dual(self)
         starts[-1] += (self._iters,)
         return None if len(starts) == 1 else res  # the first try gives up
@@ -290,28 +299,29 @@ def test_eta_file_matches_dense_basis_solves():
     # until a refactorization (which empties the file) or 20 are stacked
     for col in np.flatnonzero(prob.is_int):
         for val in (0.0, 1.0):
-            if eng._k >= 20:
+            if eng._factor.k >= 20:
                 break
             lb, ub = prob.lb.copy(), prob.ub.copy()
             lb[col] = ub[col] = val
             eng.solve(lb=lb, ub=ub)
-    k = eng._k
+    f = eng._factor
+    k = f.k
     assert k >= 20
-    rows = eng._P[:k]
+    rows = f.P[:k]
     assert np.unique(rows).size < k  # some row was pivoted on twice
 
     B = np.column_stack([eng._column(int(j)) for j in eng.basis])
     rng = np.random.default_rng(0)
     for _ in range(3):
         v = rng.standard_normal(eng.m)
-        for got, want in ((eng._ftran(v), np.linalg.solve(B, v)),
-                          (eng._btran(v), np.linalg.solve(B.T, v))):
+        for got, want in ((f.ftran(v), np.linalg.solve(B, v)),
+                          (f.btran(v), np.linalg.solve(B.T, v))):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
-    eng._refactor()
-    assert eng._k == 0
+    f = _Factor.refactor(eng.K, eng.basis, None, _Factor.buffers(eng.m))
+    assert f.k == 0
     v = rng.standard_normal(eng.m)
-    np.testing.assert_allclose(eng._ftran(v), np.linalg.solve(B, v), rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(f.ftran(v), np.linalg.solve(B, v), rtol=1e-9, atol=1e-9)
 
 
 def test_singular_refactor_in_dual_loop_falls_back_cold(monkeypatch):
@@ -345,9 +355,24 @@ def test_structurally_singular_basis_falls_back_cold_before_splu(monkeypatch):
     prob = thermostat_n3()
     eng = SimplexEngine(prob)
     assert eng.solve(warm=False).status is LpStatus.OPTIMAL
+    want = highs_lp(prob).objective
     snap = eng.snapshot_basis(carry=False)
-    basis = snap.basis.copy()
-    basis[1] = basis[0]  # shape-valid, but column basis[0] is in it twice
+    n, m = eng.n, eng.m
+    repeated = snap.basis.copy()
+    repeated[1] = repeated[0]  # shape-valid, but column basis[0] is in it twice
+    # the logicals of all rows but t and u, then q1, which covers t and u,
+    # and q2, which covers neither: every row is covered and no column
+    # repeats, yet q2 and the logicals of its rows cannot all take a row
+    K = eng.K
+    rows = [K.indices[K.indptr[j] : K.indptr[j + 1]] for j in range(n)]
+    q1 = next(j for j in range(n) if rows[j].size >= 2)
+    t, u = rows[q1][:2]
+    q2 = next(j for j in range(n) if rows[j].size and not np.isin((t, u), rows[j]).any())
+    singular = np.arange(n, n + m)
+    singular[t], singular[u] = q1, q2
+    B = K[:, singular]
+    assert np.all(np.diff(B.tocsr().indptr) > 0) and np.unique(singular).size == m
+    assert structural_rank(B) < m
     factored = []
     real_splu = dmpc.simplex.splu
 
@@ -356,14 +381,53 @@ def test_structurally_singular_basis_falls_back_cold_before_splu(monkeypatch):
         return real_splu(B, *args, **kwargs)
 
     monkeypatch.setattr(dmpc.simplex, "splu", splu_spy)
-    eng.load_basis(Basis(basis, snap.vstat))
-    res = eng.solve()
-    assert res.status is LpStatus.OPTIMAL
-    assert res.objective == pytest.approx(highs_lp(prob).objective, rel=1e-9)
-    assert factored  # the cold solve factored its own bases
-    for B in factored:  # none of them had an empty row or a repeated column
-        assert np.all(np.diff(B.tocsr().indptr) > 0)
-        assert np.unique(B.toarray(), axis=1).shape[1] == B.shape[1]
+    for basis in (repeated, singular):
+        factored.clear()
+        eng.load_basis(Basis(basis, snap.vstat))
+        res = eng.solve()
+        assert res.status is LpStatus.OPTIMAL
+        assert res.objective == pytest.approx(want, rel=1e-9)
+        assert factored  # the cold solve factored its own bases
+        for B in factored:  # none had an empty row, a repeated column or a rank gap
+            assert np.all(np.diff(B.tocsr().indptr) > 0)
+            assert np.unique(B.toarray(), axis=1).shape[1] == B.shape[1]
+            assert structural_rank(B) == m
+
+
+@pytest.mark.slow
+def test_long_bigm_search_hands_splu_no_structurally_singular_basis():
+    # around its 4,379th LP this search once passed SuperLU a structurally
+    # singular basis, which killed the process; in a child, a crash fails
+    # the test instead of ending pytest
+    probe = textwrap.dedent("""
+        import dmpc.simplex
+        from scipy.sparse.csgraph import structural_rank
+        from dmpc.bnb import SolveOptions, solve
+        from dmpc.thermostat import build_thermostat_mpc
+
+        engine = dmpc.simplex.SimplexEngine
+        real_splu, real_solve, singular, lps = dmpc.simplex.splu, engine.solve, [], []
+
+        def splu(B, *args, **kwargs):
+            singular.append(structural_rank(B) < B.shape[0])
+            return real_splu(B, *args, **kwargs)
+
+        def lp(self, *args, **kwargs):
+            lps.append(None)
+            return real_solve(self, *args, **kwargs)
+
+        dmpc.simplex.splu, engine.solve = splu, lp
+        prob = build_thermostat_mpc((20.6, 21.4, 20.2, 20.16), 0, 30, variant="gdp_bigm")
+        solve(prob, SolveOptions(node_limit=4500))
+        print(len(lps), sum(singular))
+    """)
+    src = str(Path(dmpc.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-X", "faulthandler", "-c", probe],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=600)
+    assert out.returncode == 0, out.stderr[-2000:]
+    lps, singular = map(int, out.stdout.split())
+    assert lps > 4379 and singular == 0
 
 
 def test_singular_refactor_in_cold_loop_ends_at_iteration_limit(monkeypatch):
@@ -396,7 +460,7 @@ def test_phase_one_without_a_step_ends_at_iteration_limit(monkeypatch):
     calls = []
 
     def no_step(self, q, t_dir, w):
-        calls.append(self._k)
+        calls.append(self._factor.k)
         if len(calls) > 50:
             pytest.fail("phase one retried a step it cannot take")
         return None

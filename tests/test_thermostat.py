@@ -1,5 +1,8 @@
 """Thermostat case study: relay logic, operating modes, GDP model."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +74,22 @@ def test_params_validation():
         ThermostatParams(theta=-1.0)
     with pytest.raises(ValueError):
         ThermostatParams(u_max=0.0)
+
+
+@pytest.mark.parametrize("model, field", [
+    pytest.param(model, f.name, id=f"{model.__name__}.{f.name}")
+    for model in (ThermostatParams, BuildingModel) for f in dataclasses.fields(model)])
+def test_model_parameters_must_be_finite(model, field):
+    base = default_building() if model is BuildingModel else ThermostatParams()
+    for bad in (math.nan, math.inf, -math.inf):
+        value = np.array(getattr(base, field), dtype=float)
+        value.flat[-1] = bad  # one entry of an array
+        value = value if value.ndim else float(value)
+        if field == "gamma" and bad == math.inf:  # a relay that never switches
+            assert dataclasses.replace(base, gamma=bad).gamma == bad
+            continue
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            dataclasses.replace(base, **{field: value})
 
 
 def test_default_building_shapes():
