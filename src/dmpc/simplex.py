@@ -273,12 +273,18 @@ class SimplexEngine:
         xx[self.basis] = 0.0
         self.x[self.basis] = self._factor.ftran(self.b - self.K @ xx)
 
-    def _reload(self) -> bool:
-        """Refactor, then recompute x_B; False, recomputing nothing, when
-        the basis has gone singular."""
+    def _refactor(self) -> bool:
+        """Refactor the basis; False when it has gone singular."""
         try:
             self._factor = _Factor.refactor(self.K, self.basis, self._token, self._etas)
         except RuntimeError:
+            return False
+        return True
+
+    def _reload(self) -> bool:
+        """:meth:`_refactor`, then recompute x_B; False, recomputing
+        nothing, when the basis has gone singular."""
+        if not self._refactor():
             return False
         self._recompute_basics()
         return True
@@ -577,7 +583,8 @@ class SimplexEngine:
 
     def _dual_solve(self):
         """Warm re-solve after bound edits; None means fall back to cold."""
-        if self._factor is None and not self._reload():
+        # x_B is recomputed below, once the nonbasics sit on their bounds
+        if self._factor is None and not self._refactor():
             return None
         d = self._reduced_costs(self.c2)
         stat = self.vstat

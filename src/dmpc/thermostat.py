@@ -201,6 +201,9 @@ def _checked(x0, s0, N, params, building) -> tuple:
     if s0 not in (ON, OFF):
         raise ValueError("s0 must be ON or OFF")
     p = params if params is not None else ThermostatParams()
+    if p.gamma == math.inf:
+        raise ValueError("gamma must be finite in an MPC model; gamma = inf is "
+                         "for simulate_rtc's relay that never switches")
     b = building if building is not None else default_building()
     return initial_state(x0), p, b
 

@@ -156,6 +156,40 @@ def test_writer_text_for_every_line_kind():
     assert_same_problem(round_trip(prob), prob)
 
 
+def test_writer_keeps_negative_zero_apart_from_zero():
+    # -0.0 == 0.0, yet each prints as itself: the writer formats each
+    # distinct value once, so it must tell values apart by their bits.
+    # The zero costs, the zero RHS and the zero coefficients write no line.
+    LE = Relation.LE
+    prob = make_milp(
+        c=[-0.0, 0.0, 1.0, -0.0],
+        A=[[1.0, 1.0, 1.0, 1.0], [0.0, -0.0, 2.0, 0.0]],
+        relations=[LE, LE],
+        b=[-0.0, 3.0],
+        lb=[-0.0, 0.0, -0.0, -1.0],
+        ub=[-0.0, 0.0, 1.0, -0.0],
+        is_int=[False] * 4,
+    )
+    buf = io.StringIO()
+    export_mps(prob, buf)
+    assert buf.getvalue().split("BOUNDS\n")[1] == (
+        " FX BND       C0000001  -0\n"
+        " FX BND       C0000002  0\n"
+        " UP BND       C0000003  1\n"
+        " LO BND       C0000004  -1\n"
+        " UP BND       C0000004  -0\n"
+        "ENDATA\n")
+    assert buf.getvalue().split("COLUMNS\n")[1].split("RANGES\n")[0] == (
+        "    C0000001  R0000001  1\n"
+        "    C0000002  R0000001  1\n"
+        "    C0000003  OBJ       1\n"
+        "    C0000003  R0000001  1\n"
+        "    C0000003  R0000002  2\n"
+        "    C0000004  R0000001  1\n"
+        "RHS\n"
+        "    RHS       R0000002  3\n")
+
+
 # The reader paths below are never produced by export_mps; each file is
 # compared against a problem built by hand.
 

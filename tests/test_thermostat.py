@@ -92,6 +92,14 @@ def test_model_parameters_must_be_finite(model, field):
             dataclasses.replace(base, **{field: value})
 
 
+@pytest.mark.parametrize("build", [build_thermostat_gdp, build_thermostat_mpc])
+def test_mpc_builders_reject_an_infinite_band_by_name(build):
+    # gamma = inf is the RTC's relay that never switches; the MPC guards
+    # need a finite band
+    with pytest.raises(ValueError, match="^gamma must be finite"):
+        build((21.0,) * 4, OFF, 3, params=ThermostatParams(gamma=math.inf))
+
+
 def test_default_building_shapes():
     b = default_building()
     assert b.A.shape == (4, 4)
