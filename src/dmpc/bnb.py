@@ -9,8 +9,9 @@ the dual simplex from its parent's optimal basis, one bound edit away.
 Nodes are kept lazily: a node is enqueued as the chain of bound changes
 along its path plus its parent's LP value and a snapshot of its parent's
 optimal basis, which both children share, and is only solved when it is
-dequeued. Loading the snapshot resumes the parent's factorization too,
-when it was fresh, so a node starts exactly where its parent's LP ended.
+dequeued. The snapshot carries the parent's factorization whenever it
+was trusted, eta file included, so a node starts exactly where its
+parent's LP ended.
 ``nodes_explored`` counts dequeued-and-solved nodes, so the root counts
 as 1 and nodes pruned by bound before solving do not count.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,16 +52,17 @@ INT_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
 
 @dataclass
 class SolveOptions:
-    """Search limits; the tolerances are the module constants above."""
+    """The one search limit, ``node_limit`` (None: search to the gap).
+
+    The tolerances are the module constants above. There is no wall-clock
+    limit, so a solve is a function of its inputs alone.
+    """
 
     node_limit: int | None = None
-    time_limit: float | None = None
 
     def __post_init__(self):
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be at least 1")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
 
 
 @dataclass
@@ -69,9 +70,9 @@ class SolveResult:
     """Outcome of a MILP (or brute-force GDP) solve.
 
     ``best_bound`` is a valid lower bound on the optimum: the best open
-    node's LP value, capped at the incumbent's. ``gap_percent`` is
-    ``100 (objective - best_bound) / max(|objective|, 1e-12)`` and is +inf
-    when there is no incumbent.
+    node's LP value, capped at the incumbent's. ``gap_percent`` is derived
+    from the two: ``100 (objective - best_bound) / max(|objective|, 1e-12)``,
+    and +inf when there is no incumbent.
     """
 
     status: SolveStatus
@@ -79,8 +80,13 @@ class SolveResult:
     objective: float | None
     best_bound: float
     nodes_explored: int
-    gap_percent: float
     selection: tuple | None = None
+
+    @property
+    def gap_percent(self) -> float:
+        if self.objective is None:
+            return math.inf
+        return _gap_percent(self.objective, self.best_bound)
 
 
 def _gap_percent(objective: float, bound: float) -> float:
@@ -119,7 +125,6 @@ def solve(
         raise ValueError("invalid problem: " + "; ".join(diagnostics))
 
     eng = engine or SimplexEngine(problem)
-    t0 = time.monotonic()
     root_lb = np.asarray(problem.lb, dtype=float).copy()
     root_ub = np.asarray(problem.ub, dtype=float).copy()
     int_cols = np.flatnonzero(problem.is_int)
@@ -137,8 +142,6 @@ def solve(
 
     while heap:
         if opts.node_limit is not None and nodes >= opts.node_limit:
-            break
-        if opts.time_limit is not None and time.monotonic() - t0 > opts.time_limit:
             break
 
         node = heapq.heappop(heap)
@@ -209,11 +212,11 @@ def solve(
         seq += 2
 
     if unbounded:
-        return SolveResult(SolveStatus.UNBOUNDED, None, None, -math.inf, nodes, math.inf)
+        return SolveResult(SolveStatus.UNBOUNDED, None, None, -math.inf, nodes)
     bb = min(heap[0][0], z) if heap else z  # z is +inf without an incumbent
     if incumbent is None:
         status = SolveStatus.FEASIBLE_LIMIT if heap else SolveStatus.INFEASIBLE
-        return SolveResult(status, None, None, bb, nodes, math.inf)
-    gap = _gap_percent(z, bb)
-    status = SolveStatus.OPTIMAL if gap <= 100.0 * REL_GAP_TOL else SolveStatus.FEASIBLE_LIMIT
-    return SolveResult(status, incumbent, z, bb, nodes, gap)
+        return SolveResult(status, None, None, bb, nodes)
+    closed = _gap_percent(z, bb) <= 100.0 * REL_GAP_TOL
+    status = SolveStatus.OPTIMAL if closed else SolveStatus.FEASIBLE_LIMIT
+    return SolveResult(status, incumbent, z, bb, nodes)

@@ -383,7 +383,6 @@ def brute_force_solve(model: GdpModel, lp=None):
             objective=None,
             best_bound=math.inf,
             nodes_explored=solved,
-            gap_percent=math.inf,
         )
     obj, point, selection = best
     return SolveResult(
@@ -392,6 +391,5 @@ def brute_force_solve(model: GdpModel, lp=None):
         objective=float(obj),
         best_bound=float(obj),
         nodes_explored=solved,
-        gap_percent=0.0,
         selection=tuple(selection),
     )

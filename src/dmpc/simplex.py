@@ -86,8 +86,8 @@ class LpStatus(Enum):
 class LpResult:
     """Outcome of one LP solve.
 
-    ``point`` and ``objective`` are populated for OPTIMAL and, as a best
-    effort, for ITERATION_LIMIT.
+    ``point`` and ``objective`` are populated for OPTIMAL only; every other
+    status, ITERATION_LIMIT included, carries None in both.
     """
 
     status: LpStatus
@@ -689,9 +689,6 @@ class SimplexEngine:
 
     # -------------------------------------------------------------- results
 
-    def _objective(self) -> float:
-        return float(self.c2[: self.n] @ self.x[: self.n]) + self.obj_const
-
     def _verify(self) -> bool:
         return not (np.max(np.abs(self.b - self.K @ self.x), initial=0.0) > 1e-6
                     or np.max(self.lb - self.x, initial=0.0) > 1e-6
@@ -701,16 +698,11 @@ class SimplexEngine:
         """The optimum at ``x``; None if ``x`` fails _verify even after a reload."""
         if not (self._verify() or (self._reload() and self._verify())):
             return None
-        x = self.x[: self.n].copy()
-        return LpResult(LpStatus.OPTIMAL, x, self._objective(), self._iters)
+        obj = float(self.c2[: self.n] @ self.x[: self.n]) + self.obj_const
+        return LpResult(LpStatus.OPTIMAL, self.x[: self.n].copy(), obj, self._iters)
 
     def _limit_result(self) -> LpResult:
-        return LpResult(
-            LpStatus.ITERATION_LIMIT,
-            self.x[: self.n].copy(),
-            self._objective(),
-            self._iters,
-        )
+        return LpResult(LpStatus.ITERATION_LIMIT, None, None, self._iters)
 
 
 def solve_lp(problem: MilpProblem) -> LpResult:

@@ -1,13 +1,15 @@
 """Branch and bound on small MILPs, cross-checked against scipy's HiGHS."""
 
-from types import SimpleNamespace
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmpc.bnb import SolveOptions, SolveStatus, relaxation_bound, solve
+import dmpc.simplex
+from dmpc.bnb import SolveOptions, SolveResult, SolveStatus, relaxation_bound, solve
 from dmpc.milp import Relation
 from dmpc.simplex import LpStatus, SimplexEngine
 from dmpc.thermostat import OFF, build_thermostat_mpc
@@ -49,18 +51,92 @@ def test_node_limit_reports_partial_result():
         assert res.gap_percent >= 0.0
 
 
-def test_time_limit_stops_with_open_nodes(monkeypatch):
-    # a clock that ticks once per read: t0 = 0, and the check before node
-    # k reads k, so a 2.5 s limit admits exactly two nodes
-    ticks = iter(range(100))
-    monkeypatch.setattr("dmpc.bnb.time", SimpleNamespace(monotonic=lambda: next(ticks)))
+def test_node_limit_stops_with_open_nodes():
     prob = knapsack()  # its root LP is fractional, so the root branches
-    res = solve(prob, SolveOptions(time_limit=2.5))
+    res = solve(prob, SolveOptions(node_limit=2))
     assert res.nodes_explored == 2
     assert res.status is SolveStatus.FEASIBLE_LIMIT
     # the open sibling carries the root's LP value, below any incumbent
     assert res.best_bound == pytest.approx(relaxation_bound(prob), abs=1e-9)
     assert res.objective is None or res.best_bound < res.objective
+    assert res.objective == -8.0
+
+
+def test_gap_percent_is_derived_from_objective_and_bound():
+    res = SolveResult(SolveStatus.FEASIBLE_LIMIT, np.zeros(3), -8.0, -10.5, 2)
+    assert res.gap_percent == 100.0 * 2.5 / 8.0
+    assert dataclasses.replace(res, objective=None).gap_percent == math.inf
+    tiny = dataclasses.replace(res, objective=0.0, best_bound=-1e-13)
+    assert tiny.gap_percent == pytest.approx(10.0)  # |objective| floored at 1e-12
+    assert not any(f.name == "gap_percent" for f in dataclasses.fields(SolveResult))
+
+
+def test_solve_options_hold_only_the_node_limit():
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["node_limit"]
+    with pytest.raises(ValueError):
+        SolveOptions(node_limit=0)
+
+
+def starved(monkeypatch, real_solve, engine, *args, **kwargs):
+    """``real_solve`` with no pivot budget: it ends at ITERATION_LIMIT."""
+    with monkeypatch.context() as m:
+        m.setattr(dmpc.simplex, "MAX_ITER", 0)
+        res = real_solve(engine, *args, **kwargs)
+    assert res.status is LpStatus.ITERATION_LIMIT
+    assert res.point is None and res.objective is None
+    return res
+
+
+def test_node_lp_at_iteration_limit_goes_back_on_the_heap(monkeypatch):
+    # the second node LP runs out of pivots: the search stops there, with
+    # that node open, so its estimate (the root's LP value) is the bound
+    real_solve = SimplexEngine.solve
+    calls = []
+
+    def solve_second_starved(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            return starved(monkeypatch, real_solve, self, *args, **kwargs)
+        return real_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplexEngine, "solve", solve_second_starved)
+    prob = knapsack()
+    res = solve(prob)
+    assert len(calls) == res.nodes_explored == 2
+    assert res.status is SolveStatus.FEASIBLE_LIMIT
+    assert res.objective is None and res.point is None
+    assert res.best_bound == pytest.approx(-32.0 / 3.0, abs=1e-9)
+    assert res.gap_percent == math.inf
+
+
+def test_failed_pinned_resolve_branches_anyway(monkeypatch):
+    # the fifth node LP (a = b = 1, c = 0, value -9) comes back with c at
+    # 1e-9, so B&B re-solves it with the binaries pinned; that re-solve
+    # runs out of pivots, so the node yields no incumbent and branches on
+    # c. Pruning it instead would end the search at -8 (b = 0)
+    real_solve = SimplexEngine.solve
+    boxes = []
+
+    def solve_nudged(self, lb=None, ub=None, warm=True):
+        boxes.append((lb.copy(), ub.copy()))
+        if len(boxes) == 6:  # the pinned re-solve
+            assert np.array_equal(lb, [1.0, 1.0, 0.0]) and np.array_equal(ub, lb)
+            return starved(monkeypatch, real_solve, self, lb=lb, ub=ub, warm=warm)
+        res = real_solve(self, lb=lb, ub=ub, warm=warm)
+        if len(boxes) == 5:
+            np.testing.assert_array_equal(res.point, [1.0, 1.0, 0.0])
+            res = dataclasses.replace(res, point=res.point + [0.0, 0.0, 1e-9])
+        return res
+
+    monkeypatch.setattr(SimplexEngine, "solve", solve_nudged)
+    res = solve(knapsack())
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(-9.0)
+    np.testing.assert_allclose(res.point, [1.0, 1.0, 0.0], atol=1e-9)
+    # the child c = 0 is solved and gives the incumbent; its sibling c = 1
+    # is pruned by bound
+    assert len(boxes) == res.nodes_explored + 1 == 7
+    np.testing.assert_array_equal(boxes[6][1], [1.0, 1.0, 0.0])
 
 
 def test_unbounded_milp():

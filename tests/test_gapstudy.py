@@ -122,23 +122,36 @@ def test_report_file_round_trip(tmp_path):
     assert json.loads(text) == json.loads(report_bytes(report))
 
 
-def _downgrade(monkeypatch, node_limits):
-    """Report every closed solve under one of ``node_limits`` as stopped at
-    its limit with the same incumbent, so the study cannot take z* from it."""
-    real = dmpc.gapstudy.solve
+def _doctor(monkeypatch, node_limits, variants, **changes):
+    """Apply ``changes`` to every closed solve under one of ``node_limits``
+    of a model lowered as one of ``variants``; ``status=FEASIBLE_LIMIT``
+    reports it as stopped at its limit with the same incumbent."""
+    real_build, real_solve = dmpc.gapstudy.build_thermostat_mpc, dmpc.gapstudy.solve
+    built = {}  # id -> (problem, variant); holding the problem keeps its id
+
+    def build(*args):
+        problem = real_build(*args)
+        built[id(problem)] = (problem, args[4])
+        return problem
 
     def solve(problem, options=None, engine=None):
-        res = real(problem, options, engine=engine)
-        if res.status is SolveStatus.OPTIMAL and options.node_limit in node_limits:
-            res = dataclasses.replace(res, status=SolveStatus.FEASIBLE_LIMIT)
+        res = real_solve(problem, options, engine=engine)
+        if (res.status is SolveStatus.OPTIMAL and options.node_limit in node_limits
+                and built[id(problem)][1] in variants):
+            res = dataclasses.replace(res, **changes)
         return res
 
+    monkeypatch.setattr(dmpc.gapstudy, "build_thermostat_mpc", build)
     monkeypatch.setattr(dmpc.gapstudy, "solve", solve)
+
+
+BOTH = ("gdp_hull", "gdp_bigm")
+LIMITED = dict(status=SolveStatus.FEASIBLE_LIMIT)
 
 
 def test_reference_solve_sets_z_star_when_no_limited_run_closes(monkeypatch):
     config = GapStudyConfig(instance_count=2, horizons=(30,), seed=0)
-    _downgrade(monkeypatch, {config.node_limit})
+    _doctor(monkeypatch, {config.node_limit}, BOTH, **LIMITED)
     row = run_gap_study(config)["instances"][1]
     assert not row["excluded"], row["reason"]
     assert row["z_star_source"] == "reference solve"
@@ -149,9 +162,34 @@ def test_reference_solve_sets_z_star_when_no_limited_run_closes(monkeypatch):
 
 def test_reference_solve_that_does_not_close_excludes(monkeypatch):
     config = GapStudyConfig(instance_count=2, horizons=(30,), seed=0)
-    _downgrade(monkeypatch, {config.node_limit, config.optimality_node_cap})
+    _doctor(monkeypatch, {config.node_limit, config.optimality_node_cap}, BOTH, **LIMITED)
     row = run_gap_study(config)["instances"][1]
     assert row["excluded"]
     assert row["reason"].startswith(
         "reference solve did not close within 400 nodes")
     assert row["z_star"] is None
+
+
+def test_closed_bigm_run_sets_z_star_when_the_hull_run_stops_at_the_limit(monkeypatch):
+    config = GapStudyConfig(instance_count=2, horizons=(30,), seed=0)
+    _doctor(monkeypatch, {config.node_limit}, ("gdp_hull",), **LIMITED)
+    row = run_gap_study(config)["instances"][1]
+    assert not row["excluded"], row["reason"]
+    assert row["z_star_source"] == "bigm node-limited solve closed"
+    assert row["reference_nodes"] is None
+    assert row["z_star"] == row["bigm"]["objective"] == 0.0
+    assert (row["hull"]["status"], row["bigm"]["status"]) == ("FEASIBLE_LIMIT", "OPTIMAL")
+    assert row["hull"]["gap_percent"] == row["bigm"]["gap_percent"] == 0.0
+
+
+def test_closed_run_that_disagrees_with_z_star_excludes(monkeypatch):
+    # the hull run closes first and sets z* = 0; the big-M run closes at 1
+    config = GapStudyConfig(instance_count=2, horizons=(30,), seed=0)
+    _doctor(monkeypatch, {config.node_limit}, ("gdp_bigm",), objective=1.0)
+    report = run_gap_study(config)
+    row = report["instances"][1]
+    assert row["excluded"]
+    assert row["z_star"] == 0.0
+    assert row["z_star_source"] == "hull node-limited solve closed"
+    assert row["reason"] == "bigm node-limited optimum 1.0 disagrees with z* 0.0"
+    assert report["aggregate"][0]["instances_used"] == 0

@@ -95,3 +95,18 @@ def test_no_unused_imports():
              for f in sorted((root / d).glob("*.py"))]
     assert len(files) > 20
     assert [hit for f in files for hit in _unused_imports(f)] == []
+
+
+def test_only_the_simulator_reads_a_clock():
+    # a solve is a function of its inputs; the closed loop alone records
+    # wall time (never asserted), so no other module may import ``time``
+    src = Path(dmpc.__file__).resolve().parent
+    clocked = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.split(".")[0] == "time" for name in names):
+                clocked.append(path.stem)
+    assert len(list(src.glob("*.py"))) > 10
+    assert clocked == ["simulate"]

@@ -471,6 +471,48 @@ def test_phase_one_without_a_step_ends_at_iteration_limit(monkeypatch):
     assert calls == [0]
 
 
+def warm_pin_one():
+    """An N=3 hull engine after its cold solve, and the bounds of a re-solve
+    with its first binary pinned to 1 (the warm dual takes 7 pivots)."""
+    prob = thermostat_n3()
+    eng = SimplexEngine(prob)
+    assert eng.solve(warm=False).status is LpStatus.OPTIMAL
+    return eng, pinned(prob, np.flatnonzero(prob.is_int)[0], 1.0)
+
+
+def test_stalled_warm_dual_falls_back_cold(monkeypatch):
+    eng, child = warm_pin_one()
+    want = eng.solve(*child)
+    assert (want.status, want.iterations) == (LpStatus.OPTIMAL, 7)
+    real_cold = SimplexEngine._cold_solve
+    colds = []
+
+    def cold_solve(self):
+        colds.append(None)
+        return real_cold(self)
+
+    # a pivot that leaves the total infeasibility where it was now gives up
+    monkeypatch.setattr(dmpc.simplex, "DUAL_STALL_AFTER", 1)
+    monkeypatch.setattr(SimplexEngine, "_cold_solve", cold_solve)
+    eng, child = warm_pin_one()
+    colds.clear()
+    res = eng.solve(*child)
+    assert len(colds) == 1
+    assert res.status is LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(want.objective, rel=1e-9, abs=0.0)
+
+
+def test_spent_warm_budget_ends_at_iteration_limit_without_a_point(monkeypatch):
+    # the dual's budget is half of MAX_ITER: it gives up after 2 pivots, and
+    # the cold run it falls back to stops at 4 in phase one
+    eng, child = warm_pin_one()
+    monkeypatch.setattr(dmpc.simplex, "MAX_ITER", 4)
+    res = eng.solve(*child)
+    assert res.status is LpStatus.ITERATION_LIMIT
+    assert res.point is None and res.objective is None
+    assert res.iterations == 4
+
+
 def test_bland_ratio_test_takes_the_largest_tied_pivot(monkeypatch, lp_log):
     # on this root LP the lowest basic index among Bland's tied rows is a
     # 1.1e-8 pivot against a column maximum of 215, which left the basis

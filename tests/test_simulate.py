@@ -10,8 +10,10 @@ import sys
 import pytest
 
 from dmpc.simulate import (
+    SETPOINT_TIE_EPS,
     TRACE_HEADER,
     Scenario,
+    _applied_setpoint,
     audit_rows,
     audit_trace,
     comfort_violation,
@@ -21,7 +23,7 @@ from dmpc.simulate import (
     write_trace_csv,
 )
 from dmpc.simplex import LpStatus, SimplexEngine
-from dmpc.thermostat import OFF, ON, ThermostatParams
+from dmpc.thermostat import OFF, ON, OPERATING_MODES, ThermostatParams, relay_switch
 
 
 def _csv_text(trace) -> str:
@@ -194,6 +196,25 @@ def test_relay_flips_keep_plans_warm(monkeypatch):
     trace = simulate_dmpc(Scenario(x0=(20.5,) * 4, periods=10), N=4, M=1)
     assert any(a != b for a, b in zip(trace.s, trace.s[1:]))
     assert len(colds) == 1
+
+
+def test_applied_setpoint_nudges_stay_modes_off_an_exact_tie():
+    # T - gamma and T + gamma are exact here, so each setpoint sits on the
+    # boundary the relay law switches at
+    T, gamma = 21.5, 0.5
+    for i, mode in enumerate(OPERATING_MODES):
+        tie = T - gamma if mode.s_now == ON else T + gamma
+        applied = _applied_setpoint(tie, i, T, gamma)
+        if (mode.s_now, mode.s_next) == (ON, ON):
+            assert applied == T - gamma + SETPOINT_TIE_EPS
+        elif (mode.s_now, mode.s_next) == (OFF, OFF):
+            assert applied == T + gamma - SETPOINT_TIE_EPS
+        else:
+            assert applied == tie  # a switch mode already wins the tie
+        if mode.s_now == mode.s_next:  # unnudged, the tie flips the relay
+            assert relay_switch(mode.s_now, T, tie, gamma) != mode.s_next
+        assert relay_switch(mode.s_now, T, applied, gamma) == mode.s_next
+        assert _applied_setpoint(T, i, T, gamma) == T  # no tie: as planned
 
 
 def test_dmpc_rejects_bad_window():
