@@ -172,6 +172,55 @@ class GdpModel:
         return lb, ub
 
 
+class _Terms:
+    """A model's expressions as flat arrays, built once per model.
+
+    The expressions are, in order, the objective, the global rows, then
+    every local row (disjunction, disjunct, row). Expression ``e`` holds the
+    terms ``start[e]:start[e + 1]`` of ``cols`` and ``coefs`` in the order
+    its AffineExpr lists them, zero coefficients included; ``cols`` is
+    float, so an index that is no integer shows, and ``validate``'s checks
+    apply before anything reads it as an index. ``const`` and ``rel`` are
+    each expression's constant and relation (-1 for the objective).
+    ``disjuncts`` counts each disjunction's disjuncts, and ``rows`` and
+    ``costs`` hold each disjunct's number of local rows and its fixed cost.
+    """
+
+    def __init__(self, model: GdpModel):
+        disjuncts = [dj for dis in model.disjunctions for dj in dis.disjuncts]
+        cons = [*model.global_constraints,
+                *(con for dj in disjuncts for con in dj.local_constraints)]
+        exprs = [model.objective, *(con.expr for con in cons)]
+        terms = [e.terms for e in exprs]
+        self.start = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, terms), np.int64, len(terms)), out=self.start[1:])
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(terms)),
+                           float, 2 * int(self.start[-1]))
+        self.cols, self.coefs = flat.reshape(-1, 2).T.copy()
+        self.const = np.fromiter((e.constant for e in exprs), float, len(exprs))
+        self.rel = np.fromiter(itertools.chain((-1,), (con.relation for con in cons)),
+                               np.int8, len(exprs))
+        self.lb, self.ub = model.bounds()
+        self.disjuncts = np.fromiter((len(dis.disjuncts) for dis in model.disjunctions),
+                                     np.int64, len(model.disjunctions))
+        self.rows = np.fromiter((len(dj.local_constraints) for dj in disjuncts),
+                                np.int64, len(disjuncts))
+        self.costs = np.fromiter((dj.fixed_cost for dj in disjuncts), float, len(disjuncts))
+
+
+def _exprs_ok(terms: _Terms, n: int) -> bool:
+    """Whether :func:`_check_expr` would find nothing in any expression."""
+    cols = terms.cols
+    if not (np.isfinite(terms.coefs).all() and np.isfinite(terms.const).all()
+            and ((cols >= 0) & (cols < n) & (np.trunc(cols) == cols)).all()):
+        return False
+    # one key per (expression, index): a repeat shows as two equal keys
+    key = np.repeat(np.arange(terms.const.size), np.diff(terms.start)) * n
+    key += cols.astype(np.int64)
+    key.sort()
+    return not (key[1:] == key[:-1]).any()
+
+
 def _check_expr(expr: AffineExpr, n: int, where: str, out: list):
     seen = set()
     for j, c in expr.terms:
@@ -182,6 +231,8 @@ def _check_expr(expr: AffineExpr, n: int, where: str, out: list):
         seen.add(j)
         if not math.isfinite(c):
             out.append(f"{where}: non-finite coefficient on index {j}")
+        if not float(j).is_integer():
+            out.append(f"{where}: variable index {j!r} is not an integer")
     if not math.isfinite(expr.constant):
         out.append(f"{where}: non-finite constant")
 
@@ -192,25 +243,42 @@ def validate(model: GdpModel) -> list:
     An empty list means the model is valid and both reformulations are
     applicable.
     """
+    return _diagnose(model, _Terms(model))
+
+
+def _diagnose(model: GdpModel, terms: _Terms) -> list:
+    """:func:`validate` on the model's flattened ``terms``.
+
+    One array pass checks the bounds, every expression and every fixed
+    cost; the loops below, which write the messages in model order, run
+    only over what that pass saw a defect in.
+    """
     out = []
     n = model.n_vars
-    for j, v in enumerate(model.variables):
-        if not (math.isfinite(v.lb) and math.isfinite(v.ub)):
-            out.append(
-                f"variable {v.name!r} (index {j}): unbounded variable forbids "
-                "hull reformulation"
-            )
-        elif v.lb > v.ub:
-            out.append(f"variable {v.name!r} (index {j}): lower bound above upper")
-    _check_expr(model.objective, n, "objective", out)
-    for k, con in enumerate(model.global_constraints):
-        _check_expr(con.expr, n, f"global constraint {k}", out)
+    lb, ub = terms.lb, terms.ub
+    if not (np.isfinite(lb).all() and np.isfinite(ub).all() and (lb <= ub).all()):
+        for j, v in enumerate(model.variables):
+            if not (math.isfinite(v.lb) and math.isfinite(v.ub)):
+                out.append(
+                    f"variable {v.name!r} (index {j}): unbounded variable forbids "
+                    "hull reformulation"
+                )
+            elif v.lb > v.ub:
+                out.append(f"variable {v.name!r} (index {j}): lower bound above upper")
+    exprs_bad = not _exprs_ok(terms, n)
+    if exprs_bad:
+        _check_expr(model.objective, n, "objective", out)
+        for k, con in enumerate(model.global_constraints):
+            _check_expr(con.expr, n, f"global constraint {k}", out)
+    disjuncts_bad = exprs_bad or not np.isfinite(terms.costs).all()
     for d, dis in enumerate(model.disjunctions):
         if len(dis.disjuncts) < 1:
             out.append(f"disjunction {d}: empty")
         names = [dj.indicator_name for dj in dis.disjuncts]
         if len(set(names)) != len(names):
             out.append(f"disjunction {d}: duplicate indicator names")
+        if not disjuncts_bad:
+            continue
         for i, dj in enumerate(dis.disjuncts):
             if not math.isfinite(dj.fixed_cost):
                 out.append(f"disjunction {d}, disjunct {i}: non-finite fixed cost")

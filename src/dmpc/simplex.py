@@ -361,8 +361,9 @@ class SimplexEngine:
         With ``warm`` true and a basis left over from an earlier optimal
         solve, re-solves with the dual simplex; otherwise, or if that gives
         up, runs the two-phase primal from an artificial start. A dual that
-        started on carried etas and gave up is retried once from the same
-        basis, freshly refactored, within the same pivot budget.
+        started on carried etas and gave up before its pivot budget ran out
+        is retried once from the same basis, freshly refactored, within what
+        is left of that budget.
         """
         p = self.problem
         self.lb[: self.n] = p.lb if lb is None else lb
@@ -378,7 +379,7 @@ class SimplexEngine:
             carried = self._factor is not None and self._factor.has_etas
             start = self.snapshot_basis(carry=False) if carried else None
             res = self._dual_solve()
-            if res is None and carried:
+            if res is None and carried and self._iters < self._dual_budget():
                 self.load_basis(start)  # without its factor: refactors
                 res = self._dual_solve()
         return res or self._cold_solve()
@@ -581,6 +582,12 @@ class SimplexEngine:
 
     # ----------------------------------------------------------- dual path
 
+    def _dual_budget(self) -> int:
+        """Pivots a warm re-solve may take. A healthy one needs far fewer
+        than a cold run, so the budget is capped by size; the loop also
+        bails early when infeasibility stalls."""
+        return min(MAX_ITER // 2, max(500, 2 * (self.m + self.n)))
+
     def _dual_solve(self):
         """Warm re-solve after bound edits; None means fall back to cold."""
         # x_B is recomputed below, once the nonbasics sit on their bounds
@@ -614,9 +621,7 @@ class SimplexEngine:
         self._set_dirs()
         lbB, ubB = self.lb[self.basis], self.ub[self.basis]
 
-        # a healthy warm re-solve needs far fewer pivots than a cold run;
-        # cap the budget by size and bail early when infeasibility stalls
-        budget = min(MAX_ITER // 2, max(500, 2 * (self.m + self.n)))
+        budget = self._dual_budget()
         best_tot = math.inf
         stall = 0
         while True:

@@ -239,45 +239,47 @@ def build_thermostat_gdp(
     for t in range(1, N + 1):
         variables.append(Variable(f"m[{t}]", 0.0, SLACK_MAX))
 
+    # every row's terms already sorted by column, merged and zero-free, as
+    # AffineExpr.of would leave them: x[t] < x[t+1] < u < r < m
     A, B = b.A, b.B
-
+    dyn = [[(j, float(-A[l, j])) for j in range(4) if A[l, j] != 0.0] for l in range(4)]
+    heat = [float(-B[l]) for l in range(4)]
     globals_rows = []
     for t in range(N):
         for l in range(4):
-            coeffs = {lay.x_index(t, j): -A[l, j] for j in range(4)}
-            coeffs[lay.x_index(t + 1, l)] = 1.0
-            coeffs[lay.u_index(t)] = -B[l]
-            globals_rows.append(LinConstraint(AffineExpr.of(coeffs), Relation.EQ))
+            terms = [(lay.x_index(t, j), c) for j, c in dyn[l]]
+            terms.append((lay.x_index(t + 1, l), 1.0))
+            if heat[l] != 0.0:
+                terms.append((lay.u_index(t), heat[l]))
+            globals_rows.append(LinConstraint(AffineExpr(tuple(terms), 0.0), Relation.EQ))
     for t in range(1, N + 1):
         # comfort band |T_t - T_set| <= theta + m_t
-        globals_rows.append(LinConstraint(AffineExpr.of(
-            {lay.x_index(t, 3): -1.0, lay.m_index(t): -1.0}, p.T_set - p.theta
-        ), Relation.LE))
-        globals_rows.append(LinConstraint(AffineExpr.of(
-            {lay.x_index(t, 3): 1.0, lay.m_index(t): -1.0}, -(p.T_set + p.theta)
-        ), Relation.LE))
+        T, m = lay.x_index(t, 3), lay.m_index(t)
+        globals_rows.append(LinConstraint(AffineExpr(
+            ((T, -1.0), (m, -1.0)), float(p.T_set - p.theta)), Relation.LE))
+        globals_rows.append(LinConstraint(AffineExpr(
+            ((T, 1.0), (m, -1.0)), float(-(p.T_set + p.theta))), Relation.LE))
 
+    # the heater runs exactly when the relay is on: the row pinning u[t] at
+    # u_max (ON) or 0 (OFF), shared by every mode that pins it so
+    pins = [
+        {s: LinConstraint(AffineExpr(((lay.u_index(t), 1.0),),
+                                     float(-(p.u_max if s == ON else 0.0))), Relation.EQ)
+         for s in (ON, OFF)}
+        for t in range(N + 1)
+    ]
     disjunctions = []
     for t in range(N):
-        disjuncts = []
-        for mode in OPERATING_MODES:
-            # the heater runs exactly when the relay is on
-            rows = [
-                LinConstraint(AffineExpr.of(
-                    {lay.u_index(t): 1.0},
-                    -(p.u_max if mode.s_now == ON else 0.0),
-                ), Relation.EQ),
-                LinConstraint(AffineExpr.of(
-                    {lay.u_index(t + 1): 1.0},
-                    -(p.u_max if mode.s_next == ON else 0.0),
-                ), Relation.EQ),
-                LinConstraint(AffineExpr.of(
-                    {lay.x_index(t, 3): mode.t_coef, lay.r_index(t): mode.r_coef},
-                    mode.gamma_coef * p.gamma,
-                ), Relation.LE),
-            ]
-            disjuncts.append(Disjunct(f"t{t}_m{mode.id}", tuple(rows), 0.0))
-        disjunctions.append(Disjunction(tuple(disjuncts)))
+        T, r = lay.x_index(t, 3), lay.r_index(t)
+        disjunctions.append(Disjunction(tuple(
+            Disjunct(f"t{t}_m{mode.id}", (
+                pins[t][mode.s_now],
+                pins[t + 1][mode.s_next],
+                LinConstraint(AffineExpr(((T, mode.t_coef), (r, mode.r_coef)),
+                                         float(mode.gamma_coef * p.gamma)), Relation.LE),
+            ), 0.0)
+            for mode in OPERATING_MODES
+        )))
 
     # the initial relay state rules out the two modes whose s_now differs:
     # one negative unit clause each, which the lowerings turn into bounds,
@@ -287,12 +289,11 @@ def build_thermostat_gdp(
         for i, mode in enumerate(OPERATING_MODES) if mode.s_now != s0
     )
 
-    obj = {lay.u_index(t): p.alpha for t in range(N)}
-    for t in range(1, N + 1):
-        obj[lay.m_index(t)] = p.beta
+    obj = [(lay.u_index(t), float(p.alpha)) for t in range(N) if p.alpha != 0.0]
+    obj += [(lay.m_index(t), float(p.beta)) for t in range(1, N + 1) if p.beta != 0.0]
     return GdpModel(
         variables=tuple(variables),
-        objective=AffineExpr.of(obj),
+        objective=AffineExpr(tuple(obj), 0.0),
         global_constraints=tuple(globals_rows),
         disjunctions=tuple(disjunctions),
         propositions=clauses,

@@ -39,6 +39,26 @@ def make_milp(c, A, relations, b, lb, ub, is_int):
     )
 
 
+def assert_same_lowering(got, want):
+    """Two lowerings agree byte for byte: every array with its dtype, the
+    CSR arrays, labels, row labels, ``obj_const`` and every field of the
+    record ``retarget`` reads."""
+    for name in ("c", "b", "lb", "ub", "is_int", "relations"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    assert got.A_csr.shape == want.A_csr.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got.A_csr, name), getattr(want.A_csr, name)
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), name
+    assert got.labels == want.labels
+    assert got.row_labels == want.row_labels
+    assert type(got.obj_const) is type(want.obj_const)
+    assert np.float64(got.obj_const).tobytes() == np.float64(want.obj_const).tobytes()
+    for f in dataclasses.fields(want._bound_sites):
+        x, y = getattr(got._bound_sites, f.name), getattr(want._bound_sites, f.name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
 def highs_milp(problem):
     """``scipy.optimize.milp`` on ``problem``; ``fun`` leaves out
     ``problem.obj_const``."""

@@ -13,6 +13,7 @@ from dmpc.gdp import (
     CnfClause,
     Disjunct,
     Disjunction,
+    GdpModel,
     IndicatorRef,
     LinConstraint,
     Variable,
@@ -88,9 +89,62 @@ def _clause(*refs):
      "proposition 0: unknown disjunction 3"),
     (_with(propositions=_clause((0, 5))),
      "proposition 0: unknown disjunct 5 in disjunction 0"),
+    (_with(objective=AffineExpr(((0.5, 1.0),))),
+     "objective: variable index 0.5 is not an integer"),
 ])
 def test_validate_names_each_defect(model, message):
     assert validate(model) == [message]
+
+
+def test_validate_lists_every_defect_in_model_order():
+    # one array pass finds the defects and the per-expression loop writes
+    # their messages: the list is the one the loop alone always wrote
+    nan, inf = math.nan, math.inf
+    model = GdpModel(
+        variables=(Variable("x", 0.0, 10.0), Variable("w", -inf, 1.0), Variable("v", 3.0, 2.0)),
+        objective=AffineExpr(((0, 1.0), (4, 2.0), (0, 0.5)), inf),
+        global_constraints=(
+            LinConstraint(AffineExpr(((0, 1.0),), -1.0)),
+            LinConstraint(AffineExpr(((1, nan), (-1, 1.0)), 0.0), Relation.GE),
+        ),
+        disjunctions=(
+            Disjunction((
+                Disjunct("a", (LinConstraint(AffineExpr(((2, 1.0), (2, inf)), 1.0)),), nan),
+                Disjunct("a", (LinConstraint(AffineExpr(((0, 1.0),))),
+                               LinConstraint(AffineExpr(((3, 1.0), (1, 1.0)), nan), Relation.EQ))),
+            )),
+            Disjunction(()),
+            Disjunction((Disjunct("c"), Disjunct("d", fixed_cost=-inf))),
+        ),
+        propositions=(
+            CnfClause(()),
+            CnfClause(((IndicatorRef(0, 1), True), (IndicatorRef(0, 1), False))),
+            CnfClause(((IndicatorRef(5, 0), True), (IndicatorRef(2, 7), False),
+                       (IndicatorRef(-1, 0), True))),
+        ),
+    )
+    assert validate(model) == [
+        "variable 'w' (index 1): unbounded variable forbids hull reformulation",
+        "variable 'v' (index 2): lower bound above upper",
+        "objective: undeclared variable index 4 of 3",
+        "objective: variable index 0 appears twice",
+        "objective: non-finite constant",
+        "global constraint 1: non-finite coefficient on index 1",
+        "global constraint 1: undeclared variable index -1 of 3",
+        "disjunction 0: duplicate indicator names",
+        "disjunction 0, disjunct 0: non-finite fixed cost",
+        "disjunction 0, disjunct 0, row 0: variable index 2 appears twice",
+        "disjunction 0, disjunct 0, row 0: non-finite coefficient on index 2",
+        "disjunction 0, disjunct 1, row 1: undeclared variable index 3 of 3",
+        "disjunction 0, disjunct 1, row 1: non-finite constant",
+        "disjunction 1: empty",
+        "disjunction 2, disjunct 1: non-finite fixed cost",
+        "proposition 0: empty clause",
+        "proposition 1: duplicate literal IndicatorRef(disjunction=0, disjunct=1)",
+        "proposition 2: unknown disjunction 5",
+        "proposition 2: unknown disjunct 7 in disjunction 2",
+        "proposition 2: unknown disjunction -1",
+    ]
 
 
 # each model accepts one (selection, point) and rejects another, for the one

@@ -14,11 +14,14 @@ from dmpc.cli import highs_lp
 from dmpc.gdp import (
     AffineExpr,
     CnfClause,
+    Disjunct,
     Disjunction,
+    GdpModel,
     IndicatorRef,
     LinConstraint,
     Variable,
     brute_force_solve,
+    validate,
 )
 from dmpc.instances import random_gdp
 from dmpc.milp import Relation
@@ -38,7 +41,7 @@ from dmpc.thermostat import (
     build_thermostat_mpc,
 )
 
-from conftest import two_box_model
+from conftest import assert_same_lowering, two_box_model
 
 
 def test_bigm_solves_two_box():
@@ -275,6 +278,36 @@ def test_pinned_variable_hull_matches_disaggregated_hull():
             assert res.status is SolveStatus.OPTIMAL
             assert res.objective == pytest.approx(ref.objective, abs=1e-6)
     assert out_of_box > 0  # some pins fell outside the box and fixed s_i = 0
+
+
+def zero_term_model(a_rows):
+    """x, y in [0, 5]; disjunct ``a`` has the rows ``a_rows`` and ``b`` the
+    one row ``x >= 2``, so no nonzero term of the disjunction names y."""
+    return GdpModel(
+        variables=(Variable("x", 0.0, 5.0), Variable("y", 0.0, 5.0)),
+        objective=AffineExpr.of({0: 1.0, 1: 1.0}),
+        disjunctions=(Disjunction((
+            Disjunct("a", tuple(a_rows)),
+            Disjunct("b", (LinConstraint(AffineExpr.of({0: -1.0}, 2.0)),)),
+        )),),
+    )
+
+
+@pytest.mark.parametrize("relation", [Relation.LE, Relation.GE, Relation.EQ])
+@pytest.mark.parametrize("lower", [
+    to_hull,
+    lambda m: to_bigm(m, BigMStrategy.fixed(1e4)),
+    lambda m: to_bigm(m, BigMStrategy.from_bounds()),
+], ids=["hull", "bigm_fixed", "bigm_bounds"])
+def test_explicit_zero_coefficients_lower_as_absent(lower, relation):
+    # a 0.0 coefficient on y, which validate accepts, lowers as AffineExpr.of
+    # leaves it: absent (the hull once raised KeyError on it)
+    terms = ((0, 1.0), (1, 0.0))
+    model = zero_term_model([LinConstraint(AffineExpr(terms, -1.0), relation)])
+    rebuilt = zero_term_model([LinConstraint(AffineExpr.of(dict(terms), -1.0), relation)])
+    assert validate(model) == []
+    assert rebuilt.disjunctions[0].disjuncts[0].local_constraints[0].expr.terms == ((0, 1.0),)
+    assert_same_lowering(lower(model), lower(rebuilt))
 
 
 def test_thermostat_hull_has_no_heat_input_copies():

@@ -503,14 +503,26 @@ def test_stalled_warm_dual_falls_back_cold(monkeypatch):
 
 
 def test_spent_warm_budget_ends_at_iteration_limit_without_a_point(monkeypatch):
-    # the dual's budget is half of MAX_ITER: it gives up after 2 pivots, and
-    # the cold run it falls back to stops at 4 in phase one
+    # the dual's budget is half of MAX_ITER: it gives up after 2 pivots, is
+    # not retried on a spent budget, and the cold run it falls back to stops
+    # at 4 in phase one
     eng, child = warm_pin_one()
     monkeypatch.setattr(dmpc.simplex, "MAX_ITER", 4)
+    real_dual = SimplexEngine._dual_solve
+    tries = []
+
+    def dual_solve(self):
+        start = self._iters
+        res = real_dual(self)
+        tries.append((start, self._iters))
+        return res
+
+    monkeypatch.setattr(SimplexEngine, "_dual_solve", dual_solve)
     res = eng.solve(*child)
     assert res.status is LpStatus.ITERATION_LIMIT
     assert res.point is None and res.objective is None
     assert res.iterations == 4
+    assert tries == [(0, 2)]
 
 
 def test_bland_ratio_test_takes_the_largest_tied_pivot(monkeypatch, lp_log):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmpc.bnb import SolveStatus, solve
-from dmpc.gdp import brute_force_solve, validate
+from dmpc.gdp import AffineExpr, brute_force_solve, validate
 from dmpc.thermostat import (
     OFF,
     ON,
@@ -129,6 +129,23 @@ def test_gdp_model_validates_and_sizes():
     assert all(len(d.disjuncts) == 4 for d in model.disjunctions)
     # the initial relay state: one negative unit clause per mode it rules out
     assert len(model.propositions) == 2
+
+
+@pytest.mark.parametrize("params, building", [
+    (None, None),
+    (ThermostatParams(alpha=0.0, beta=2, u_max=3000), BuildingModel(
+        default_building().A * 0.999, default_building().B * 1.5)),
+])
+def test_gdp_rows_are_as_affine_expr_of_leaves_them(params, building):
+    # the builder writes each row's terms sorted, merged and zero-free
+    # itself; AffineExpr.of on the same terms and constant changes no bit
+    model = build_thermostat_gdp(np.array([20.5, 0.0, 19.5, 45.0]), ON, 4, params, building)
+    exprs = [model.objective]
+    exprs += [con.expr for con in model.global_constraints]
+    exprs += [con.expr for dis in model.disjunctions for dj in dis.disjuncts
+              for con in dj.local_constraints]
+    for expr in exprs:
+        assert repr(expr) == repr(AffineExpr.of(dict(expr.terms), expr.constant))
 
 
 def test_s0_clause_restricts_first_mode():
