@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,7 +53,8 @@ INT_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
 
 @dataclass
 class SolveOptions:
-    """The one search limit, ``node_limit`` (None: search to the gap).
+    """The one search limit, ``node_limit``: None (search to the gap) or
+    an integer of at least 1.
 
     The tolerances are the module constants above. There is no wall-clock
     limit, so a solve is a function of its inputs alone.
@@ -61,7 +63,7 @@ class SolveOptions:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.node_limit is not None and self.node_limit < 1:
+        if self.node_limit is not None and operator.index(self.node_limit) < 1:
             raise ValueError("node_limit must be at least 1")
 
 

@@ -27,7 +27,6 @@ import dataclasses
 import sys
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bnb import SolveStatus, relaxation_bound, solve
 from .gapstudy import GapStudyConfig, run_gap_study, write_report
@@ -45,7 +44,7 @@ from .simulate import (
 from .simplex import LpResult, LpStatus
 from .thermostat import OFF, build_thermostat_gdp, build_thermostat_mpc
 
-__all__ = ["main", "highs_lp"]
+__all__ = ["main", "highs"]
 
 
 def _read_config(path: str) -> dict:
@@ -153,20 +152,21 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def highs_lp(problem: MilpProblem) -> LpResult:
-    """``brute_force_solve``'s LP callback on scipy's HiGHS, so the oracle
-    shares no code with the simplex under test."""
-    le = problem.relations == Relation.LE  # every other row is EQ
-    res = linprog(problem.c, A_ub=problem.A_csr[le], b_ub=problem.b[le],
-                  A_eq=problem.A_csr[~le], b_eq=problem.b[~le],
-                  bounds=list(zip(problem.lb, problem.ub)), method="highs")
+def highs(problem: MilpProblem) -> LpResult:
+    """The HiGHS oracle: ``scipy.optimize.milp`` on ``problem``, integer columns
+    from ``is_int``. scipy loads on the first call; ``iterations`` is always 0."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lo = np.where(problem.relations == Relation.EQ, problem.b, -np.inf)
+    rows = [LinearConstraint(problem.A_csr, lo, problem.b)] if problem.n_rows else []
+    res = milp(problem.c, constraints=rows, bounds=Bounds(problem.lb, problem.ub),
+               integrality=problem.is_int.astype(int))
     if res.status != 0:
         status = {2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}.get(
             res.status, LpStatus.ITERATION_LIMIT)
-        return LpResult(status, None, None, res.nit)
+        return LpResult(status, None, None, 0)
     # selection_lp carries the selected disjuncts' fixed costs in obj_const
-    return LpResult(LpStatus.OPTIMAL, res.x, res.fun + problem.obj_const,
-                    res.nit)
+    return LpResult(LpStatus.OPTIMAL, res.x, res.fun + problem.obj_const, 0)
 
 
 def _selftest_equivalence(count: int = 100, tol: float = 1e-6):
@@ -180,7 +180,7 @@ def _selftest_equivalence(count: int = 100, tol: float = 1e-6):
     ]
     bad = []
     for idx, model in enumerate(models):
-        ref = brute_force_solve(model, lp=highs_lp)
+        ref = brute_force_solve(model, lp=highs)
         for name, reform in (("bigm", to_bigm), ("hull", to_hull)):
             res = solve(reform(model))
             if ref.status is SolveStatus.INFEASIBLE:

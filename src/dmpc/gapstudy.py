@@ -14,6 +14,7 @@ at all).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -46,7 +47,7 @@ class GapStudyConfig:
     params: ThermostatParams = field(default_factory=ThermostatParams)
 
     def __post_init__(self):
-        if self.instance_count < 1:
+        if operator.index(self.instance_count) < 1:
             raise ValueError("instance_count must be at least 1")
         if not self.horizons:
             raise ValueError("horizons must name at least one horizon")
@@ -55,14 +56,14 @@ class GapStudyConfig:
         for N in self.horizons:
             if N not in ALLOWED_HORIZONS:
                 raise ValueError(f"horizon {N} not in {ALLOWED_HORIZONS}")
-        if self.node_limit < 1 or self.optimality_node_cap < 1:
+        if operator.index(self.node_limit) < 1 or operator.index(self.optimality_node_cap) < 1:
             raise ValueError("node limits must be at least 1")
         if self.x0_low > self.x0_high:
             raise ValueError("x0 sampling bounds out of order")
-        if self.x0_low < TEMP_MIN or self.x0_high > TEMP_MAX:
+        if not (TEMP_MIN <= self.x0_low and self.x0_high <= TEMP_MAX):  # NaN fails too
             raise ValueError(f"x0 sampling bounds must lie in [{TEMP_MIN}, {TEMP_MAX}]")
-        if self.bigm <= 0:
-            raise ValueError("bigm must be positive")
+        if not 0 < self.bigm < np.inf:
+            raise ValueError("bigm must be finite and positive")
 
 
 def _reference_bases(config: GapStudyConfig) -> dict:

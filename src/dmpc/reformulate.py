@@ -74,8 +74,8 @@ class BigMStrategy:
     def __post_init__(self):
         if self.mode not in ("fixed", "from_bounds"):
             raise ValueError(f"unknown big-M mode {self.mode!r}")
-        if self.mode == "fixed" and not (self.M is not None and self.M > 0):
-            raise ValueError("fixed big-M requires M > 0")
+        if self.mode == "fixed" and not (self.M is not None and 0 < self.M < np.inf):
+            raise ValueError("fixed big-M requires a finite M > 0")
 
     @staticmethod
     def fixed(M: float) -> "BigMStrategy":

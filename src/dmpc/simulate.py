@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -74,7 +75,7 @@ class Scenario:
     def __post_init__(self):
         if self.s0 not in (ON, OFF):
             raise ValueError("s0 must be ON or OFF")
-        if self.periods < 1:
+        if operator.index(self.periods) < 1:
             raise ValueError("periods must be at least 1")
         initial_state(self.x0)
 
@@ -183,7 +184,7 @@ def simulate_dmpc(
     instead. Each plan re-solves warm from the previous plan's basis and
     raises ``RuntimeError`` unless it is OPTIMAL.
     """
-    if N < 1 or M < 1:
+    if operator.index(N) < 1 or operator.index(M) < 1:
         raise ValueError("N and M must be at least 1")
     sc = scenario if scenario is not None else Scenario()
     p = sc.params

@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from dmpc.gdp import (
     AffineExpr,
@@ -14,7 +13,7 @@ from dmpc.gdp import (
     LinConstraint,
     Variable,
 )
-from dmpc.milp import MilpProblem, Relation
+from dmpc.milp import MilpProblem
 from dmpc.simplex import (
     _AT_LOWER,
     _AT_UPPER,
@@ -59,17 +58,9 @@ def assert_same_lowering(got, want):
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
 
 
-def highs_milp(problem):
-    """``scipy.optimize.milp`` on ``problem``; ``fun`` leaves out
-    ``problem.obj_const``."""
-    lo = np.where(problem.relations == Relation.EQ, problem.b, -np.inf)
-    cons = LinearConstraint(problem.A_csr, lo, problem.b)
-    return milp(
-        problem.c,
-        constraints=[cons] if problem.n_rows else [],
-        bounds=Bounds(problem.lb, problem.ub),
-        integrality=problem.is_int.astype(int),
-    )
+def relaxed(problem):
+    """``problem`` with every column continuous: its LP relaxation."""
+    return dataclasses.replace(problem, is_int=np.zeros_like(problem.is_int))
 
 
 def assert_certified(engine):

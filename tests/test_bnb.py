@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import dmpc.simplex
 from dmpc.bnb import SolveOptions, SolveResult, SolveStatus, relaxation_bound, solve
+from dmpc.cli import highs
 from dmpc.milp import Relation
 from dmpc.simplex import LpStatus, SimplexEngine
 from dmpc.thermostat import OFF, build_thermostat_mpc
 
-from conftest import highs_milp, make_milp
+from conftest import make_milp
 
 
 def knapsack():
@@ -75,6 +76,11 @@ def test_solve_options_hold_only_the_node_limit():
     assert [f.name for f in dataclasses.fields(SolveOptions)] == ["node_limit"]
     with pytest.raises(ValueError):
         SolveOptions(node_limit=0)
+    # nodes >= nan is never true, so a NaN limit searched to the gap, and
+    # 2.5 acted as 3
+    for limit in (math.nan, 2.5, math.inf):
+        with pytest.raises(TypeError):
+            SolveOptions(node_limit=limit)
 
 
 def starved(monkeypatch, real_solve, engine, *args, **kwargs):
@@ -192,12 +198,12 @@ def test_random_milps_match_scipy(seed):
         is_int,
     )
     mine = solve(prob)
-    ref = highs_milp(prob)
-    if ref.status == 2:
+    ref = highs(prob)
+    if ref.status is LpStatus.INFEASIBLE:
         assert mine.status is SolveStatus.INFEASIBLE
-    elif ref.status == 0:
+    elif ref.status is LpStatus.OPTIMAL:
         assert mine.status is SolveStatus.OPTIMAL
-        assert mine.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+        assert mine.objective == pytest.approx(ref.objective, abs=1e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("variant", ["hull", "bigm"])

@@ -184,6 +184,20 @@ def test_config_bad_boolean_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, error", [
+    ("x0_low = nan", "x0 sampling bounds"),
+    ("bigm = inf", "bigm must be finite"),
+])
+def test_gapstudy_bad_config_value_exits_1(tmp_path, capsys, line, error):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"instance-count = 1\nhorizons = 30\n{line}\n")
+    out = tmp_path / "report.json"
+    assert main(["gapstudy", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_selftest_smoke(monkeypatch, capsys):
     monkeypatch.setattr(dmpc.cli, "_selftest_equivalence", functools.partial(
         dmpc.cli._selftest_equivalence, count=10))

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from dmpc.bnb import SolveStatus, solve
-from dmpc.simplex import check_point
+from dmpc.cli import highs
+from dmpc.simplex import LpStatus, check_point
 from dmpc.thermostat import OFF, ON, build_thermostat_mpc
-
-from conftest import highs_milp
 
 _rng = np.random.default_rng(7)
 X0S = [tuple(np.round(_rng.uniform(19.5, 21.5, 4), 2)) for _ in range(3)]
@@ -30,10 +29,10 @@ GRID = [
 def test_thermostat_optimum_matches_highs(N, variant, s0, k):
     prob = build_thermostat_mpc(X0S[k], s0, N, variant=variant)
     res = solve(prob)
-    ref = highs_milp(prob)
-    assert ref.status == 0
+    ref = highs(prob)
+    assert ref.status is LpStatus.OPTIMAL
     assert res.status is SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(ref.fun + prob.obj_const, abs=1e-6, rel=1e-6)
+    assert res.objective == pytest.approx(ref.objective, abs=1e-6, rel=1e-6)
     assert check_point(prob, res.point) <= 1e-6
     ints = res.point[prob.is_int]
     np.testing.assert_allclose(ints, np.round(ints), atol=1e-6)

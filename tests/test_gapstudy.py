@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
@@ -56,6 +57,20 @@ def test_config_validation():
         GapStudyConfig(x0_high=50.0)
     with pytest.raises(ValueError):
         GapStudyConfig(bigm=-1.0)
+    # counts are integers, sampling bounds and big-M finite: a NaN x0
+    # bound made rng.uniform raise OverflowError, and bigm = inf lowered
+    # rows that the simplex cold-solved before B&B rejected them
+    for field, value, error in (
+        ("instance_count", 2.5, TypeError),
+        ("node_limit", math.nan, TypeError),
+        ("optimality_node_cap", 40.0, TypeError),
+        ("x0_low", math.nan, ValueError),
+        ("x0_high", math.nan, ValueError),
+        ("bigm", math.inf, ValueError),
+        ("bigm", math.nan, ValueError),
+    ):
+        with pytest.raises(error):
+            GapStudyConfig(**{field: value})
 
 
 def test_gap_formula_and_floor():

@@ -62,10 +62,13 @@ def test_import_loads_no_cli_and_no_optimizer():
     # scipy.optimize (HiGHS) load on demand, and the lowering store on first build
     probe = ("import sys, dmpc, dmpc.thermostat as t; "
              "print(sorted({'dmpc.cli', 'scipy.optimize'} & set(sys.modules)), t._lowered)")
+    # ``import dmpc.cli`` loads no scipy.optimize either: only a HiGHS check does
+    cli_probe = "import sys, dmpc.cli; print('scipy.optimize' in sys.modules)"
     src = str(Path(dmpc.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert out.stdout.split() == ["[]", "None"]
+    outs = [subprocess.run([sys.executable, "-c", p], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, PYTHONPATH=src), timeout=120).stdout
+            for p in (probe, cli_probe)]
+    assert [out.split() for out in outs] == [["[]", "None"], ["False"]]
 
 
 def _unused_imports(path):

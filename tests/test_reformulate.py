@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmpc.bnb import SolveStatus, relaxation_bound, solve
-from dmpc.cli import highs_lp
+from dmpc.cli import highs
 from dmpc.gdp import (
     AffineExpr,
     CnfClause,
@@ -41,7 +41,7 @@ from dmpc.thermostat import (
     build_thermostat_mpc,
 )
 
-from conftest import assert_same_lowering, two_box_model
+from conftest import assert_same_lowering, relaxed, two_box_model
 
 
 def test_bigm_solves_two_box():
@@ -140,6 +140,13 @@ def test_contradicted_unit_clause_stays_a_row():
         assert solve(prob).status is SolveStatus.INFEASIBLE
 
 
+@pytest.mark.parametrize("M", [math.inf, math.nan, 0.0, -1.0])
+def test_fixed_bigm_must_be_finite_and_positive(M):
+    # M = inf lowered to rows that the MILP's own validate() rejects
+    with pytest.raises(ValueError, match="finite M > 0"):
+        BigMStrategy.fixed(M)
+
+
 @pytest.mark.parametrize("variant", ["hull", "bigm"])
 def test_relay_bounds_keep_the_root_bound(variant):
     # the relay state as ub = 0 on the two ruled-out modes relaxes to the
@@ -162,7 +169,7 @@ def test_relay_bounds_keep_the_root_bound(variant):
                     prob, A=np.vstack([prob.A, row]), b=np.append(prob.b, -1.0),
                     relations=np.append(prob.relations, Relation.LE), ub=ub,
                     row_labels=prob.row_labels + ["cnf[0]"])
-                got, want = highs_lp(prob).objective, highs_lp(old).objective
+                got, want = highs(relaxed(prob)).objective, highs(relaxed(old)).objective
                 assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -185,7 +192,7 @@ def test_reformulations_match_highs_oracle():
     mismatches, feasible = [], 0
     for idx in range(60):
         model = random_gdp(rng)
-        ref = brute_force_solve(model, lp=highs_lp)
+        ref = brute_force_solve(model, lp=highs)
         feasible += ref.status is SolveStatus.OPTIMAL
         for reform in (to_bigm, to_hull):
             res = solve(reform(model))

@@ -11,6 +11,7 @@ points run in tier-1, the rest are marked ``slow``.
 import dataclasses
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from dmpc.thermostat import (
     default_building,
 )
 
+from conftest import assert_same_lowering
+
 CUSTOM = {
     "params": ThermostatParams(T_set=20.0, theta=0.5, gamma=0.75, u_max=3000.0,
                                alpha=2.0, beta=5e4),
@@ -38,20 +41,6 @@ CUSTOM = {
                               default_building().B * 1.5),
     "M": 5e3,
 }
-
-
-def assert_identical(got, want):
-    """Same bytes and dtype in every array, same labels and constant."""
-    for name in ("indptr", "indices", "data"):
-        x, y = getattr(got.A_csr, name), getattr(want.A_csr, name)
-        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), name
-    assert got.A_csr.shape == want.A_csr.shape
-    for name in ("c", "b", "lb", "ub", "is_int", "relations"):
-        x, y = getattr(got, name), getattr(want, name)
-        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
-    assert got.labels == want.labels
-    assert got.row_labels == want.row_labels
-    assert np.float64(got.obj_const).tobytes() == np.float64(want.obj_const).tobytes()
 
 
 def fresh(x0, s0, N, variant, params=None, building=None, M=1e4):
@@ -101,7 +90,7 @@ def test_retargeted_build_equals_a_fresh_one(N, variant, s0, custom, lowerings):
     xs = x0_sequence(N)
     for x0 in xs:
         got = build_thermostat_mpc(x0, s0, N, variant=variant, **kw)
-        assert_identical(got, fresh(x0, s0, N, variant, **kw))
+        assert_same_lowering(got, fresh(x0, s0, N, variant, **kw))
     # the hull lowers afresh exactly when x0[3] turns zero or nonzero, since
     # its bound rows on the copies of x[0,3] vanish or appear; big-M never
     zero = [x0[3] == 0.0 for x0 in xs]
@@ -120,7 +109,7 @@ def test_returned_arrays_are_the_callers_own(lowerings):
         got.labels[:] = ["?"] * len(got.labels)
         got.row_labels.clear()
     assert len(lowerings) == 1
-    assert_identical(build_thermostat_mpc(x0s[1], OFF, 5), fresh(x0s[1], OFF, 5, "gdp_hull"))
+    assert_same_lowering(build_thermostat_mpc(x0s[1], OFF, 5), fresh(x0s[1], OFF, 5, "gdp_hull"))
 
 
 def test_every_structural_input_has_its_own_entry(lowerings):
@@ -137,7 +126,7 @@ def test_every_structural_input_has_its_own_entry(lowerings):
     ]
     for kw, variant in cases:
         got = build_thermostat_mpc(x0, OFF, 3, variant=variant, **kw)
-        assert_identical(got, fresh(x0, OFF, 3, variant, **kw))
+        assert_same_lowering(got, fresh(x0, OFF, 3, variant, **kw))
     assert len(lowerings) == len(cases)
     # equal inputs find their entries; the hull does not read M
     build_thermostat_mpc(x0, OFF, 3, ThermostatParams(), "hull", 123.0, default_building())
@@ -166,6 +155,12 @@ def test_bad_input_still_raises_on_a_known_structure(lowerings):
         build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 3.0)
 
 
+def test_infinite_bigm_is_rejected_and_not_stored(lowerings):
+    with pytest.raises(ValueError, match="finite M > 0"):
+        build_thermostat_mpc((20.5, 20.8, 19.5, 20.1), OFF, 3, variant="bigm", M=math.inf)
+    assert not thermostat._lowered
+
+
 def with_bounds(model, lb, ub):
     return dataclasses.replace(model, variables=tuple(
         Variable(v.name, float(lo), float(hi))
@@ -191,9 +186,9 @@ def test_retarget_on_random_models(lower, least):
         got = retarget(lower(model), lb, ub)
         if got is not None:
             retargeted += 1
-            assert_identical(got, lower(with_bounds(model, lb, ub)))
+            assert_same_lowering(got, lower(with_bounds(model, lb, ub)))
             # a re-targeted problem re-targets again, back to where it began
-            assert_identical(retarget(got, lb0, ub0), lower(model))
+            assert_same_lowering(retarget(got, lb0, ub0), lower(model))
     assert retargeted >= least
 
 

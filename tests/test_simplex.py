@@ -17,8 +17,8 @@ from scipy.sparse.csgraph import structural_rank
 import dmpc.simplex
 from dmpc.bnb import SolveOptions, SolveStatus
 from dmpc.bnb import solve as bnb_solve
-from dmpc.cli import highs_lp
-from dmpc.milp import MilpProblem, Relation
+from dmpc.cli import highs
+from dmpc.milp import Relation
 from dmpc.simplex import (
     Basis,
     LpStatus,
@@ -29,21 +29,11 @@ from dmpc.simplex import (
 )
 from dmpc.thermostat import OFF, ON, build_thermostat_mpc
 
-from conftest import assert_certified
+from conftest import assert_certified, make_milp, relaxed
 
 
 def make_lp(c, A, relations, b, lb, ub):
-    n = len(c)
-    return MilpProblem(
-        c=np.asarray(c, dtype=float),
-        obj_const=0.0,
-        A=np.asarray(A, dtype=float).reshape(-1, n),
-        relations=np.asarray(relations, dtype=np.int8),
-        b=np.asarray(b, dtype=float),
-        lb=np.asarray(lb, dtype=float),
-        ub=np.asarray(ub, dtype=float),
-        is_int=np.zeros(n, dtype=bool),
-    )
+    return make_milp(c, A, relations, b, lb, ub, np.zeros(len(c), dtype=bool))
 
 
 def test_simple_two_var_lp():
@@ -277,7 +267,7 @@ def test_random_lps_match_scipy(seed):
     )
     eng = SimplexEngine(lp)
     mine = eng.solve(warm=False)
-    ref = highs_lp(lp)
+    ref = highs(lp)
     if ref.status is LpStatus.INFEASIBLE:
         assert mine.status is LpStatus.INFEASIBLE
     elif ref.status is LpStatus.OPTIMAL:
@@ -355,7 +345,7 @@ def test_structurally_singular_basis_falls_back_cold_before_splu(monkeypatch):
     prob = thermostat_n3()
     eng = SimplexEngine(prob)
     assert eng.solve(warm=False).status is LpStatus.OPTIMAL
-    want = highs_lp(prob).objective
+    want = highs(relaxed(prob)).objective
     snap = eng.snapshot_basis(carry=False)
     n, m = eng.n, eng.m
     repeated = snap.basis.copy()
@@ -539,7 +529,7 @@ def test_bland_ratio_test_takes_the_largest_tied_pivot(monkeypatch, lp_log):
     ints = np.round(res.point[prob.is_int])
     lb, ub = prob.lb.copy(), prob.ub.copy()
     lb[prob.is_int] = ub[prob.is_int] = ints
-    pinned = highs_lp(dataclasses.replace(prob, lb=lb, ub=ub))
+    pinned = highs(dataclasses.replace(prob, lb=lb, ub=ub))
     assert res.objective == pytest.approx(pinned.objective, abs=1e-6, rel=1e-6)
 
 
@@ -568,7 +558,7 @@ def lp_digest(log):
 
 def assert_agree_with_highs(log):
     for lp, r in log:
-        ref = highs_lp(lp)
+        ref = highs(relaxed(lp))
         assert r.status is ref.status
         if r.status is LpStatus.OPTIMAL:
             assert r.objective == pytest.approx(ref.objective, abs=1e-6, rel=1e-6)

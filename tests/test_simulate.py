@@ -44,6 +44,8 @@ def test_trace_header_contract():
 def test_scenario_rejects_empty_horizon():
     with pytest.raises(ValueError):
         Scenario(periods=0)
+    with pytest.raises(TypeError):
+        Scenario(periods=2.5)
 
 
 def test_scenario_rejects_unknown_relay_state():
@@ -222,6 +224,10 @@ def test_dmpc_rejects_bad_window():
         simulate_dmpc(Scenario(periods=4), N=0, M=1)
     with pytest.raises(ValueError):
         simulate_dmpc(Scenario(periods=4), N=2, M=0)
+    # M = 2.5 re-planned at t = 0, 5, 10, ... and broke apply_sequence
+    for N, M in ((2.5, 1), (2, 2.5)):
+        with pytest.raises(TypeError):
+            simulate_dmpc(Scenario(periods=4), N=N, M=M)
 
 
 def test_dmpc_variants_agree_on_quiet_start():
