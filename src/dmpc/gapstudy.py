@@ -54,10 +54,11 @@ class GapStudyConfig:
         if len(set(self.horizons)) != len(self.horizons):
             raise ValueError(f"horizons {self.horizons} repeat an entry")
         for N in self.horizons:
-            if N not in ALLOWED_HORIZONS:
+            if operator.index(N) not in ALLOWED_HORIZONS:
                 raise ValueError(f"horizon {N} not in {ALLOWED_HORIZONS}")
         if operator.index(self.node_limit) < 1 or operator.index(self.optimality_node_cap) < 1:
             raise ValueError("node limits must be at least 1")
+        operator.index(self.seed)  # TypeError unless an integer
         if self.x0_low > self.x0_high:
             raise ValueError("x0 sampling bounds out of order")
         if not (TEMP_MIN <= self.x0_low and self.x0_high <= TEMP_MAX):  # NaN fails too

@@ -28,19 +28,13 @@ relations; ``gdp._Terms``), which :func:`gdp.validate`'s checks read in
 one pass; exact zeros are then dropped, so a zero coefficient lowers as
 absent, as ``AffineExpr.of`` would leave it. Each row family (exactly-one,
 big-M, aggregation, perspective, bound and CNF rows) is built for all
-disjunctions at once from those arrays by index arithmetic, and so is the
-record for :func:`retarget`; only the labels are formatted one by one.
-
-Each lowering records where the model variables' bounds went, and
-:func:`retarget` rewrites those places for new bounds, giving what a fresh
-lowering would, array for array, or None where the structure would change.
-``thermostat.build_thermostat_mpc`` keeps one lowering per model structure
-and re-targets it to each plan's initial state.
+disjunctions at once from those arrays by index arithmetic; only the
+labels are formatted one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -54,7 +48,6 @@ __all__ = [
     "cnf_to_linear",
     "to_bigm",
     "to_hull",
-    "retarget",
     "indicator_columns",
 ]
 
@@ -205,9 +198,8 @@ class _Rows:
         self.keys, self.rels, self.rhs, self.labels, self.terms = [], [], [], [], []
         self.m = 0
 
-    def add(self, d, part, i, rel, rhs, labels, row, col, val) -> np.ndarray:
-        """Append ``len(labels)`` rows; ``row[t]`` counts from the first of
-        them. Returns their ids, which :meth:`finish` ranks."""
+    def add(self, d, part, i, rel, rhs, labels, row, col, val):
+        """Append ``len(labels)`` rows; ``row[t]`` counts from the first of them."""
         m = len(labels)
         self.keys.append([np.broadcast_to(x, m) for x in (d, part, i)])
         self.rels.append(np.broadcast_to(rel, m))
@@ -215,10 +207,9 @@ class _Rows:
         self.labels += labels
         self.terms.append((row + self.m, col, np.broadcast_to(val, np.shape(col))))
         self.m += m
-        return np.arange(self.m - m, self.m)
 
     def finish(self, n_tot: int) -> tuple:
-        """``(A, relations, b, labels, rank)``: ``rank[id]`` is a row's place."""
+        """``(A, relations, b, labels)``, the rows in key order."""
         d, part, i = (np.concatenate(k) for k in zip(*self.keys))
         order = np.lexsort((i, part, d))
         rank = np.empty_like(order)
@@ -226,39 +217,14 @@ class _Rows:
         row, col, val = (np.concatenate(t) for t in zip(*self.terms))
         A = sp.coo_array((val, (rank[row], col)), shape=(self.m, n_tot))
         labels = np.array(self.labels, dtype=object)[order].tolist()
-        return (A, np.concatenate(self.rels)[order], np.concatenate(self.rhs)[order],
-                labels, rank)
-
-
-@dataclass(frozen=True)
-class _BoundSites:
-    """Where a lowering put the model variables' bounds; read by :func:`retarget`.
-
-    ``lb``/``ub`` are the model bounds it lowered. The hull copy in column
-    ``copy_cols[k]`` of variable ``copy_vars[k]`` has the box
-    ``[min(l, 0), max(u, 0)]``. The coefficient ``A_csr.data[term_pos[k]]``
-    is ``l`` of variable ``term_vars[k]``, or ``-u`` where ``term_upper[k]``.
-    The bounds of the ``frozen`` variables decide more than these places:
-    which indicators the hull's pinned values fix at 0 (and with that
-    whether a unit clause becomes a bound or a row), or a big-M constant
-    taken from the box.
-    """
-
-    lb: np.ndarray
-    ub: np.ndarray
-    copy_cols: np.ndarray
-    copy_vars: np.ndarray
-    term_pos: np.ndarray
-    term_vars: np.ndarray
-    term_upper: np.ndarray
-    frozen: np.ndarray
+        return A, np.concatenate(self.rels)[order], np.concatenate(self.rhs)[order], labels
 
 
 _NONE = np.zeros(0, dtype=np.int64)
 
 
-def _lower(model: GdpModel, flat: _Flat, cols: _Columns, rows: _Rows, frozen,
-           off=_NONE, bound_terms=(_NONE, _NONE, _NONE, _NONE.astype(bool))) -> MilpProblem:
+def _lower(model: GdpModel, flat: _Flat, cols: _Columns, rows: _Rows,
+           off=_NONE) -> MilpProblem:
     """What both reformulations share; the one place a problem is assembled.
 
     The reformulation has built its disjunctions' rows into ``rows`` over
@@ -274,12 +240,6 @@ def _lower(model: GdpModel, flat: _Flat, cols: _Columns, rows: _Rows, frozen,
     positive one) instead of a row, unless the bound it would set is
     already out of the indicator's range; then it stays a row and the MILP
     stays infeasible rather than turning invalid.
-
-    The problem also records where the model's bounds went, for
-    :func:`retarget`: the copy columns, each coefficient that is ``l`` (or
-    ``-u``) of a variable, given as ``bound_terms`` = (row ids from
-    ``rows.add``, columns, variables, upper flags), and the ``frozen``
-    variables, whose bounds shape more than that.
     """
     n, G, D = flat.n, flat.G, flat.L.size
     e = np.arange(1, G + 1)
@@ -335,8 +295,8 @@ def _lower(model: GdpModel, flat: _Flat, cols: _Columns, rows: _Rows, frozen,
         for j, d, i in zip(cols.copy_var.tolist(), cols.copy_d.tolist(), cols.copy_i.tolist())
     ]
 
-    A, relations, b, row_labels, rank = rows.finish(n_tot)
-    problem = MilpProblem(
+    A, relations, b, row_labels = rows.finish(n_tot)
+    return MilpProblem(
         c=c,
         obj_const=model.objective.constant,
         A=A,
@@ -348,22 +308,6 @@ def _lower(model: GdpModel, flat: _Flat, cols: _Columns, rows: _Rows, frozen,
         labels=labels.tolist(),
         row_labels=row_labels,
     )
-    # each entry of the canonical CSR as row * columns + column, ascending
-    A = problem.A_csr
-    keys = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
-    keys = keys * A.shape[1] + A.indices
-    ids, t_col, t_var, t_upper = bound_terms
-    problem._bound_sites = _BoundSites(
-        lb=problem.lb[:n].copy(),
-        ub=problem.ub[:n].copy(),
-        copy_cols=cols.copy_col,
-        copy_vars=cols.copy_var,
-        term_pos=np.searchsorted(keys, rank[ids] * A.shape[1] + t_col),
-        term_vars=t_var,
-        term_upper=t_upper,
-        frozen=np.unique(np.asarray(frozen, dtype=np.int64)),
-    )
-    return problem
 
 
 def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProblem:
@@ -406,9 +350,7 @@ def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProble
               for d, i, k, h in zip(d.tolist(), i.tolist(), flat.k[r].tolist(), h.tolist())],
              np.concatenate([owner, np.arange(r.size)]),
              np.concatenate([t_col, cols.first[d] + i]), np.concatenate([t_val, M]))
-    # a constant taken from the box moves with the bounds of its row's variables
-    local_cols = flat.col[flat.start[flat.G + 1]:]
-    return _lower(model, flat, cols, rows, () if strategy.mode == "fixed" else local_cols)
+    return _lower(model, flat, cols, rows)
 
 
 def to_hull(model: GdpModel) -> MilpProblem:
@@ -487,63 +429,12 @@ def to_hull(model: GdpModel) -> MilpProblem:
     bd, bi, bj = cols.copy_d[q], cols.copy_i[q], cols.copy_var[q]
     s = cols.first[bd] + bi
     both = np.arange(q.size)
-    ids = rows.add(bd, 1, bi, Relation.LE, 0.0,
-                   [f"{'ubnd' if u else 'lbnd'}[{d},{i},{j}]"
-                    for u, d, i, j in zip(upper.tolist(), bd.tolist(), bi.tolist(), bj.tolist())],
-                   np.concatenate([both, both]), np.concatenate([s, cols.copy_col[q]]),
-                   np.concatenate([np.where(upper, -hi[q], lo[q]), np.where(upper, 1.0, -1.0)]))
-    return _lower(model, flat, cols, rows, pinned % n, off, (ids, s, bj, upper))
-
-
-def retarget(problem: MilpProblem, lb, ub) -> MilpProblem | None:
-    """``problem``'s model lowered again with the variable bounds ``lb``, ``ub``.
-
-    ``problem`` comes from :func:`to_hull`, :func:`to_bigm` or this
-    function. The result is a new problem, sharing no array with
-    ``problem``, equal array for array to a fresh lowering of the same
-    model with those bounds: the model columns' own bounds, the hull
-    copies' boxes ``[min(l, 0), max(u, 0)]`` and the bound-row
-    coefficients ``l`` and ``-u`` are rewritten, and nothing else moves.
-    Returns None where that lowering would differ in more than those
-    places, so a caller lowers afresh: a bound row that would appear or
-    vanish (a side turning zero or nonzero), a bound of a pinned variable
-    or of a big-M constant's row (``BigMStrategy.from_bounds``) that moves,
-    or bounds the lowering would reject.
-    """
-    sites = getattr(problem, "_bound_sites", None)
-    lb, ub = np.array(lb, dtype=float), np.array(ub, dtype=float)
-    if sites is None or lb.shape != sites.lb.shape or ub.shape != sites.ub.shape:
-        return None
-    if not (np.isfinite(lb).all() and np.isfinite(ub).all()) or np.any(lb > ub):
-        return None
-    f, cv = sites.frozen, sites.copy_vars
-    if (lb[f].tobytes() != sites.lb[f].tobytes()
-            or ub[f].tobytes() != sites.ub[f].tobytes()
-            or np.any((lb[cv] != 0.0) != (sites.lb[cv] != 0.0))
-            or np.any((ub[cv] != 0.0) != (sites.ub[cv] != 0.0))):
-        return None
-    col_lb, col_ub = problem.lb.copy(), problem.ub.copy()
-    col_lb[: lb.size], col_ub[: ub.size] = lb, ub
-    # min(l, 0.0) and max(u, 0.0) as to_hull takes them, signed zeros included
-    col_lb[sites.copy_cols] = np.where(lb[cv] > 0.0, 0.0, lb[cv])
-    col_ub[sites.copy_cols] = np.where(ub[cv] < 0.0, 0.0, ub[cv])
-    A, tv = problem.A_csr, sites.term_vars
-    data = A.data.copy()
-    data[sites.term_pos] = np.where(sites.term_upper, -ub[tv], lb[tv])
-    out = MilpProblem(
-        c=problem.c.copy(),
-        obj_const=problem.obj_const,
-        A=sp.csr_array((data, A.indices, A.indptr), shape=A.shape),
-        relations=problem.relations.copy(),
-        b=problem.b.copy(),
-        lb=col_lb,
-        ub=col_ub,
-        is_int=problem.is_int.copy(),
-        labels=list(problem.labels),
-        row_labels=list(problem.row_labels),
-    )
-    out._bound_sites = replace(sites, lb=lb, ub=ub)
-    return out
+    rows.add(bd, 1, bi, Relation.LE, 0.0,
+             [f"{'ubnd' if u else 'lbnd'}[{d},{i},{j}]"
+              for u, d, i, j in zip(upper.tolist(), bd.tolist(), bi.tolist(), bj.tolist())],
+             np.concatenate([both, both]), np.concatenate([s, cols.copy_col[q]]),
+             np.concatenate([np.where(upper, -hi[q], lo[q]), np.where(upper, 1.0, -1.0)]))
+    return _lower(model, flat, cols, rows, off)
 
 
 def indicator_columns(problem: MilpProblem) -> dict:

@@ -4,14 +4,13 @@ These are ``to_bigm`` and ``to_hull`` as they were before the lowerings
 built each row family from flat term arrays: one dict per row, emitted one
 term at a time. The functions below are copied unchanged, with the helpers
 they call. Only the tests use them: ``test_lowering_differential.py``
-requires both implementations to return equal arrays, labels, constants
-and bound-site records.
+requires both implementations to return equal arrays, labels, row labels
+and constants.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,31 +60,7 @@ def _require_valid(model: GdpModel):
         raise ValueError("invalid model: " + "; ".join(problems))
 
 
-@dataclass(frozen=True)
-class _BoundSites:
-    """Where a lowering put the model variables' bounds; read by :func:`retarget`.
-
-    ``lb``/``ub`` are the model bounds it lowered. The hull copy in column
-    ``copy_cols[k]`` of variable ``copy_vars[k]`` has the box
-    ``[min(l, 0), max(u, 0)]``. The coefficient ``A_csr.data[term_pos[k]]``
-    is ``l`` of variable ``term_vars[k]``, or ``-u`` where ``term_upper[k]``.
-    The bounds of the ``frozen`` variables decide more than these places:
-    which indicators the hull's pinned values fix at 0 (and with that
-    whether a unit clause becomes a bound or a row), or a big-M constant
-    taken from the box.
-    """
-
-    lb: np.ndarray
-    ub: np.ndarray
-    copy_cols: np.ndarray
-    copy_vars: np.ndarray
-    term_pos: np.ndarray
-    term_vars: np.ndarray
-    term_upper: np.ndarray
-    frozen: np.ndarray
-
-
-def _lower(model: GdpModel, disjunction_rows, frozen=()) -> MilpProblem:
+def _lower(model: GdpModel, disjunction_rows) -> MilpProblem:
     """Scaffolding shared by both reformulations; the one owner of columns.
 
     Columns are the model's variables, then per disjunction its indicators
@@ -101,30 +76,20 @@ def _lower(model: GdpModel, disjunction_rows, frozen=()) -> MilpProblem:
     one) instead of a row, unless the bound it would set is already out of
     the indicator's range; then it stays a row and the MILP stays
     infeasible rather than turning invalid.
-
-    The problem also records where the model's bounds went, for
-    :func:`retarget`: a column made with ``column(..., copy_of=j)`` is a
-    hull copy of variable ``j``, a row may carry a fifth item
-    ``(column, j, upper)`` naming its coefficient that is ``l`` (or ``-u``)
-    of variable ``j``, and ``frozen`` lists the variables whose bounds
-    shape more than that.
     """
     labels = [v.name for v in model.variables]
     lb, ub = map(list, model.bounds())
-    copies, terms = [], []
 
-    def column(label, lo, hi, copy_of=None) -> int:
+    def column(label, lo, hi) -> int:
         labels.append(label)
         lb.append(lo)
         ub.append(hi)
-        if copy_of is not None:
-            copies.extend((len(labels) - 1, copy_of))
         return len(labels) - 1
 
     tri_i, tri_j, tri_v = [], [], []
     rels, rhs, row_labels = [], [], []
 
-    def emit(coeffs: dict, relation, rhs_val, label, term=None):
+    def emit(coeffs: dict, relation, rhs_val, label):
         i = len(rels)
         for j, c in coeffs.items():
             tri_i.append(i)
@@ -133,8 +98,6 @@ def _lower(model: GdpModel, disjunction_rows, frozen=()) -> MilpProblem:
         rels.append(relation)
         rhs.append(float(rhs_val))
         row_labels.append(label)
-        if term is not None:
-            terms.extend((i, *term))
 
     for k, con in enumerate(model.global_constraints):
         con = con.normalized()
@@ -169,7 +132,7 @@ def _lower(model: GdpModel, disjunction_rows, frozen=()) -> MilpProblem:
     is_int = np.zeros(n_tot, dtype=bool)
     is_int[list(ind_map.values())] = True
 
-    problem = MilpProblem(
+    return MilpProblem(
         c=c_vec,
         obj_const=model.objective.constant,
         A=sp.coo_array((tri_v, (tri_i, tri_j)), shape=(len(rels), n_tot)),
@@ -180,33 +143,6 @@ def _lower(model: GdpModel, disjunction_rows, frozen=()) -> MilpProblem:
         is_int=is_int,
         labels=labels,
         row_labels=row_labels,
-    )
-    problem._bound_sites = _bound_sites(problem, n, copies, terms, frozen)
-    return problem
-
-
-def _bound_sites(problem: MilpProblem, n: int, copies, terms, frozen) -> _BoundSites:
-    """The lowering's record for :func:`retarget`, in O(nonzeros).
-
-    ``copies`` is flat (column, variable) pairs, ``terms`` flat (row,
-    column, variable, upper) quadruples: numpy reads a flat list of ints
-    about ten times faster than a list of tuples.
-    """
-    A = problem.A_csr
-    copies = np.array(copies, dtype=np.int64).reshape(-1, 2)
-    terms = np.array(terms, dtype=np.int64).reshape(-1, 4)
-    # each entry as row * columns + column, ascending in a canonical CSR
-    keys = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
-    keys = keys * A.shape[1] + A.indices
-    return _BoundSites(
-        lb=problem.lb[:n].copy(),
-        ub=problem.ub[:n].copy(),
-        copy_cols=copies[:, 0],
-        copy_vars=copies[:, 1],
-        term_pos=np.searchsorted(keys, terms[:, 0] * A.shape[1] + terms[:, 1]),
-        term_vars=terms[:, 2],
-        term_upper=terms[:, 3].astype(bool),
-        frozen=np.array(sorted(frozen), dtype=np.int64),
     )
 
 
@@ -235,12 +171,7 @@ def to_bigm(model: GdpModel, strategy: BigMStrategy | None = None) -> MilpProble
                     yield (coeffs, Relation.LE, M - expr.constant,
                            f"bigm[{d},{i},{k}.{h}]")
 
-    # a constant taken from the box moves with the bounds of its row's variables
-    frozen = () if strategy.mode == "fixed" else {
-        j for dis in model.disjunctions for dj in dis.disjuncts
-        for con in dj.local_constraints for j, _ in con.expr.terms
-    }
-    return _lower(model, local_rows, frozen)
+    return _lower(model, local_rows)
 
 
 def _pinned(dis) -> dict:
@@ -297,7 +228,7 @@ def to_hull(model: GdpModel) -> MilpProblem:
                 ub[s[i]] = 0.0
         copy = {
             (i, j): column(f"{model.variables[j].name}@d{d}:{i}",
-                           min(lb0[j], 0.0), max(ub0[j], 0.0), copy_of=j)
+                           min(lb0[j], 0.0), max(ub0[j], 0.0))
             for i in range(L) for j in copied
         }
         # aggregation y = sum of copies, or y = sum_i c_i s_i when pinned
@@ -323,10 +254,9 @@ def to_hull(model: GdpModel) -> MilpProblem:
                 lo, hi = lb0[j], ub0[j]
                 if lo != 0.0:
                     yield ({s[i]: lo, copy[(i, j)]: -1.0}, Relation.LE, 0.0,
-                           f"lbnd[{d},{i},{j}]", (s[i], j, False))
+                           f"lbnd[{d},{i},{j}]")
                 if hi != 0.0:
                     yield ({copy[(i, j)]: 1.0, s[i]: -hi}, Relation.LE, 0.0,
-                           f"ubnd[{d},{i},{j}]", (s[i], j, True))
+                           f"ubnd[{d},{i},{j}]")
 
-    # a pinned variable's box decides which indicators are fixed at 0
-    return _lower(model, local_rows, {j for pinned in pins for j in pinned})
+    return _lower(model, local_rows)

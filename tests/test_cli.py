@@ -187,6 +187,8 @@ def test_config_bad_boolean_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("line, error", [
     ("x0_low = nan", "x0 sampling bounds"),
     ("bigm = inf", "bigm must be finite"),
+    ("seed = 2.5", "gapstudy setting seed"),
+    ("horizons = 30, 60.0", "gapstudy setting horizons"),
 ])
 def test_gapstudy_bad_config_value_exits_1(tmp_path, capsys, line, error):
     cfg = tmp_path / "study.cfg"

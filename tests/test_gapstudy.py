@@ -57,11 +57,15 @@ def test_config_validation():
         GapStudyConfig(x0_high=50.0)
     with pytest.raises(ValueError):
         GapStudyConfig(bigm=-1.0)
-    # counts are integers, sampling bounds and big-M finite: a NaN x0
-    # bound made rng.uniform raise OverflowError, and bigm = inf lowered
-    # rows that the simplex cold-solved before B&B rejected them
+    # counts, horizons and the seed are integers, sampling bounds and big-M
+    # finite: a NaN x0 bound made rng.uniform raise OverflowError, bigm = inf
+    # lowered rows that the simplex cold-solved before B&B rejected them, and
+    # a float horizon or seed passed here and failed inside run_gap_study
     for field, value, error in (
         ("instance_count", 2.5, TypeError),
+        ("horizons", (30.0,), TypeError),
+        ("horizons", (30, 60.0), TypeError),
+        ("seed", 2.5, TypeError),
         ("node_limit", math.nan, TypeError),
         ("optimality_node_cap", 40.0, TypeError),
         ("x0_low", math.nan, ValueError),

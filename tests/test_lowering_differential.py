@@ -3,9 +3,9 @@
 ``lowering_reference`` keeps ``to_hull`` and ``to_bigm`` as they were when
 they lowered one row at a time. Under the hull, big-M with a fixed M and
 big-M with M from the bounds, every model here must lower to the same
-arrays, labels, constant and bound-site record under both: random models,
-random models with a pinned variable, the thermostat, and hand-made edge
-cases. The thermostat at N = 120 and 200 is marked ``slow``.
+arrays, labels, row labels and constant under both: random models, random
+models with a pinned variable, the thermostat, and hand-made edge cases.
+The thermostat at N = 120 and 200 is marked ``slow``.
 """
 
 import numpy as np

@@ -9,6 +9,9 @@ import sys
 
 import pytest
 
+import dmpc.simulate
+from dmpc.gdp import evaluate_assignment
+from dmpc.reformulate import selection_from_point
 from dmpc.simulate import (
     SETPOINT_TIE_EPS,
     TRACE_HEADER,
@@ -23,7 +26,14 @@ from dmpc.simulate import (
     write_trace_csv,
 )
 from dmpc.simplex import LpStatus, SimplexEngine
-from dmpc.thermostat import OFF, ON, OPERATING_MODES, ThermostatParams, relay_switch
+from dmpc.thermostat import (
+    OFF,
+    ON,
+    OPERATING_MODES,
+    ThermostatParams,
+    build_thermostat_gdp,
+    relay_switch,
+)
 
 
 def _csv_text(trace) -> str:
@@ -181,6 +191,36 @@ def test_dmpc_plans_certify_across_loaded_bases(lp_log, restored_starts):
     optimal = [r.status is LpStatus.OPTIMAL for _, r in lp_log]
     assert sum(optimal) >= 200
     assert sum(ok and restored for ok, restored in zip(optimal, restored_starts)) >= 150
+
+
+def test_dmpc_plans_hold_in_the_gdp_model(monkeypatch):
+    # an oracle that solves no lowering: each plan's modes and point must
+    # satisfy the GDP model built afresh from the plan's inputs, at the
+    # objective the solver reports
+    plans = []
+    real_build, real_solve = dmpc.simulate.build_thermostat_mpc, dmpc.simulate.solve
+
+    def build(x, s, N, params, variant, bigm, building):
+        problem = real_build(x, s, N, params, variant, bigm, building)
+        plans.append([(x.copy(), s, N, params, building), problem, None])
+        return problem
+
+    def solve(problem, *args, **kwargs):
+        res = real_solve(problem, *args, **kwargs)
+        assert plans[-1][1] is problem
+        plans[-1][2] = res
+        return res
+
+    monkeypatch.setattr(dmpc.simulate, "build_thermostat_mpc", build)
+    monkeypatch.setattr(dmpc.simulate, "solve", solve)
+    trace = simulate_dmpc(Scenario(x0=(20.5, 20.9, 20.1, 20.4), periods=8), N=6, M=1)
+    assert len(plans) == len(trace.solves) == 8
+    for inputs, problem, res in plans:
+        model = build_thermostat_gdp(*inputs)
+        ev = evaluate_assignment(model, selection_from_point(problem, res.point),
+                                 res.point[:model.n_vars])
+        assert ev.feasible
+        assert abs(ev.objective - res.objective) <= 1e-9 * max(1.0, abs(res.objective))
 
 
 def test_relay_flips_keep_plans_warm(monkeypatch):

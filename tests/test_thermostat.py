@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dmpc.bnb import SolveStatus, solve
 from dmpc.gdp import AffineExpr, brute_force_solve, validate
+from dmpc.reformulate import BigMStrategy, to_bigm, to_hull
 from dmpc.thermostat import (
     OFF,
     ON,
@@ -21,6 +22,8 @@ from dmpc.thermostat import (
     default_building,
     relay_switch,
 )
+
+from conftest import assert_same_lowering
 
 
 def test_relay_truth_table_on_branch():
@@ -100,6 +103,22 @@ def test_mpc_builders_reject_an_infinite_band_by_name(build):
         build((21.0,) * 4, OFF, 3, params=ThermostatParams(gamma=math.inf))
 
 
+@pytest.mark.parametrize("build", [build_thermostat_gdp, build_thermostat_mpc])
+def test_mpc_builders_reject_bad_input(build):
+    x0 = (20.5, 20.8, 19.5, 20.1)
+    with pytest.raises(ValueError, match="temperature bounds"):
+        build((20.5, 20.8, 19.5, 50.0), OFF, 3)
+    with pytest.raises(ValueError, match="s0"):
+        build(x0, 2, 3)
+    with pytest.raises(ValueError, match="horizon"):
+        build(x0, OFF, 0)
+    with pytest.raises(TypeError):  # both builders take N through operator.index
+        build(x0, OFF, 3.0)
+    if build is build_thermostat_mpc:
+        with pytest.raises(ValueError, match="finite M > 0"):
+            build(x0, OFF, 3, variant="bigm", M=math.inf)
+
+
 def test_default_building_shapes():
     b = default_building()
     assert b.A.shape == (4, 4)
@@ -171,12 +190,34 @@ def test_cold_start_heats():
     assert res.objective > 1.0
 
 
+CUSTOM_PARAMS = ThermostatParams(T_set=20.0, theta=0.5, gamma=0.75, u_max=3000.0,
+                                 alpha=2.0, beta=5e4)
+CUSTOM_BUILDING = BuildingModel(default_building().A * 0.999, default_building().B * 1.5,
+                                dt_minutes=0.5)
+
+
+@pytest.mark.parametrize("N, s0, kw, M", [
+    (5, OFF, {}, 1e4),
+    (10, ON, {"params": CUSTOM_PARAMS}, 1e4),
+    (3, OFF, {"building": CUSTOM_BUILDING}, 1e4),
+    (1, ON, {"params": CUSTOM_PARAMS, "building": CUSTOM_BUILDING}, 5e3),
+], ids=["default", "params", "building", "all_custom"])
+def test_mpc_is_the_fresh_lowering_of_the_gdp_model(N, s0, kw, M):
+    for x0 in ((20.5, 20.8, 19.5, 20.1), (0.0, 45.0, 21.0, 0.0)):
+        model = build_thermostat_gdp(x0, s0, N, **kw)
+        assert_same_lowering(build_thermostat_mpc(x0, s0, N, variant="gdp_hull", M=M, **kw),
+                             to_hull(model))
+        assert_same_lowering(build_thermostat_mpc(x0, s0, N, variant="gdp_bigm", M=M, **kw),
+                             to_bigm(model, BigMStrategy.fixed(M)))
+
+
 def test_variant_aliases_accepted():
     x0 = np.full(4, 21.0)
-    for variant in ("hull", "bigm", "gdp_hull", "gdp_bigm"):
-        prob = build_thermostat_mpc(x0, OFF, 1, variant=variant)
-        # reformulation adds indicator (and for hull, disaggregated) columns
-        assert prob.n_vars >= 7 * 1 + 5 + 4
+    model = build_thermostat_gdp(x0, OFF, 1)
+    for variant, want in (("hull", to_hull(model)), ("gdp_hull", to_hull(model)),
+                          ("bigm", to_bigm(model, BigMStrategy.fixed(1e4))),
+                          ("gdp_bigm", to_bigm(model, BigMStrategy.fixed(1e4)))):
+        assert_same_lowering(build_thermostat_mpc(x0, OFF, 1, variant=variant), want)
     for variant in ("nope", "milp", "milp_baseline"):
         with pytest.raises(ValueError):
             build_thermostat_mpc(x0, OFF, 1, variant=variant)
